@@ -1,6 +1,6 @@
 // City-scale fleet evaluation bench: M placed surfaces x N positioned
 // devices through CityFleetEngine, against the dense (cutoff = -infinity)
-// counterpart of the exact same city. Five phases, one JSON line each:
+// counterpart of the exact same city. Six phases, one JSON line each:
 //
 //   city_eval_dense_m256       full fleet evaluation with every leakage
 //                              path kept (per-device cost O(M)) — the
@@ -22,6 +22,10 @@
 //                              device scene at M=4 vs M=256: hierarchical
 //                              frozen aggregation makes the ratio ~1
 //                              (sweeps independent of fleet size).
+//   city_freeze_device_m4/m256 freeze_device(0) at M=4 vs M=256: a freeze
+//                              looks up only the device's kept scene
+//                              surfaces, so its cost follows the kept
+//                              paths, not M (CI gates the ratio <= 2x).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -200,6 +204,33 @@ int main(int argc, char** argv) {
                        .value();
           });
       std::string extra = bench::threads_extra_json(1);
+      if (m == 4)
+        m4_ns = r.ns_per_op;
+      else
+        extra = ",\"ns_ratio_vs_m4\":" + std::to_string(r.ns_per_op / m4_ns) +
+                extra;
+      bench::print_result(r, json, extra);
+    }
+  }
+
+  // Phase 6: the freeze that precedes a retune sweep must not scale with M
+  // either. Time freeze_device(0) on a warm cache in the same two cities.
+  {
+    double m4_ns = 0.0;
+    for (const std::size_t m : {std::size_t{4}, kM}) {
+      const core::CityScaleScenario scenario =
+          core::city_scale_scenario(m, 8, kCityCutoffDb);
+      deploy::CityFleetEngine engine{scenario.config};
+      engine.assign(scenario.devices);
+      const bench::BenchResult r = bench::run_bench(
+          "city_freeze_device_m" + std::to_string(m), [&] {
+            sink = sink + engine.freeze_device(0, scenario.biases)
+                              .fixed_total.ex().real();
+          });
+      std::string extra =
+          ",\"kept_surfaces\":" +
+          std::to_string(engine.scene(0).surface_count()) +
+          bench::threads_extra_json(1);
       if (m == 4)
         m4_ns = r.ns_per_op;
       else

@@ -103,17 +103,24 @@ double CityFleetEngine::mean_kept_leakage() const {
          static_cast<double>(devices_.size());
 }
 
-std::vector<em::JonesMatrix> CityFleetEngine::responses_at(
-    const std::vector<SurfaceBias>& biases) {
+void CityFleetEngine::check_biases(
+    const std::vector<SurfaceBias>& biases) const {
   if (biases.size() != config_.n_surfaces)
     throw std::invalid_argument{
         "CityFleetEngine: need one bias pair per deployment surface"};
+}
+
+em::JonesMatrix CityFleetEngine::response_at(const SurfaceBias& bias) {
+  return engine_.response(config_.frequency, config_.geometry.mode, bias.vx,
+                          bias.vy);
+}
+
+std::vector<em::JonesMatrix> CityFleetEngine::responses_at(
+    const std::vector<SurfaceBias>& biases) {
+  check_biases(biases);
   std::vector<em::JonesMatrix> responses;
   responses.reserve(biases.size());
-  for (const SurfaceBias& bias : biases)
-    responses.push_back(engine_.response(config_.frequency,
-                                         config_.geometry.mode, bias.vx,
-                                         bias.vy));
+  for (const SurfaceBias& bias : biases) responses.push_back(response_at(bias));
   return responses;
 }
 
@@ -124,6 +131,23 @@ void CityFleetEngine::view_for(const DeviceState& state,
   view.assign(state.scene.surface_count(), nullptr);
   for (std::size_t j = 0; j < state.scene_to_deployment.size(); ++j)
     view[j] = &responses[state.scene_to_deployment[j]];
+}
+
+const CityFleetEngine::DeviceState& CityFleetEngine::resolve_scene(
+    std::size_t device, const std::vector<SurfaceBias>& biases,
+    std::vector<em::JonesMatrix>& responses,
+    std::vector<const em::JonesMatrix*>& view) {
+  if (device >= devices_.size())
+    throw std::out_of_range{"CityFleetEngine: device index out of range"};
+  check_biases(biases);
+  const DeviceState& state = devices_[device];
+  responses.clear();
+  responses.reserve(state.scene_to_deployment.size());
+  for (std::size_t s : state.scene_to_deployment)
+    responses.push_back(response_at(biases[s]));
+  view.assign(state.scene.surface_count(), nullptr);
+  for (std::size_t j = 0; j < responses.size(); ++j) view[j] = &responses[j];
+  return state;
 }
 
 CityEvalReport CityFleetEngine::evaluate(
@@ -183,12 +207,9 @@ CityEvalReport CityFleetEngine::evaluate(
 
 channel::PropagationScene::FrozenEval CityFleetEngine::freeze_device(
     std::size_t device, const std::vector<SurfaceBias>& biases) {
-  if (device >= devices_.size())
-    throw std::out_of_range{"CityFleetEngine: device index out of range"};
-  const std::vector<em::JonesMatrix> responses = responses_at(biases);
-  const DeviceState& state = devices_[device];
+  std::vector<em::JonesMatrix> responses;
   std::vector<const em::JonesMatrix*> view;
-  view_for(state, responses, view);
+  const DeviceState& state = resolve_scene(device, biases, responses, view);
   return state.scene.freeze_except(
       channel::PropagationScene::kHomeSurface, config_.tx_power,
       config_.frequency,
@@ -199,12 +220,9 @@ void CityFleetEngine::refreeze_device(
     std::size_t device, channel::PropagationScene::FrozenEval& frozen,
     std::span<const std::size_t> retuned,
     const std::vector<SurfaceBias>& biases) {
-  if (device >= devices_.size())
-    throw std::out_of_range{"CityFleetEngine: device index out of range"};
-  const std::vector<em::JonesMatrix> responses = responses_at(biases);
-  const DeviceState& state = devices_[device];
+  std::vector<em::JonesMatrix> responses;
   std::vector<const em::JonesMatrix*> view;
-  view_for(state, responses, view);
+  const DeviceState& state = resolve_scene(device, biases, responses, view);
 
   // Deployment surfaces -> distinct spatial cells, ascending: the frozen
   // per-cell partials for exactly these cells are re-summed; everything

@@ -19,9 +19,14 @@
 //    count — the same contract as the rest of the codebase, memcmp-tested
 //    in tests/deploy/test_city_fleet.cpp.
 //
-//  - Retune sweeps stay O(1) in M: freeze_device() pre-sums every frozen
-//    path per spatial cell (hierarchical frozen aggregation), and
-//    refreeze_device() refreshes only the cells whose surfaces retuned.
+//  - Retunes never touch all M surfaces: freeze_device() and
+//    refreeze_device() look up only the device's kept scene surfaces, so a
+//    freeze costs O(kept paths) (bench_city_scale, one core: ~1.2-2.0 us
+//    at M=256 with 9 kept, against ~12-15 us for an M-wide freeze). The
+//    freeze pre-sums every frozen path per spatial cell (hierarchical
+//    frozen aggregation), so each candidate of the sweep that follows is
+//    O(1) in M, and refreeze_device() refreshes only the cells whose
+//    surfaces retuned.
 #pragma once
 
 #include <cstddef>
@@ -92,13 +97,18 @@ class CityFleetEngine {
   /// Freezes device `device`'s scene for a serving-surface retune sweep:
   /// every non-serving contribution is pre-summed per spatial cell, so a
   /// candidate evaluation (received_power_swept on scene(device)) costs
-  /// O(1) in M.
+  /// O(1) in M. The freeze itself looks up only the device's kept scene
+  /// surfaces, so it costs O(kept paths), not O(M). Throws
+  /// std::out_of_range for a bad device index and std::invalid_argument
+  /// unless `biases` has one entry per deployment surface.
   [[nodiscard]] channel::PropagationScene::FrozenEval freeze_device(
       std::size_t device, const std::vector<SurfaceBias>& biases);
 
   /// After the deployment surfaces in `retuned` changed bias, refreshes
   /// the frozen state by recomputing only their spatial cells —
-  /// byte-identical to a fresh freeze_device() at the new biases.
+  /// byte-identical to a fresh freeze_device() at the new biases. Same
+  /// O(kept paths) lookups and argument checks as freeze_device(), plus
+  /// std::out_of_range for a retuned index past the deployment.
   void refreeze_device(std::size_t device,
                        channel::PropagationScene::FrozenEval& frozen,
                        std::span<const std::size_t> retuned,
@@ -116,13 +126,26 @@ class CityFleetEngine {
     channel::PropagationScene scene;
   };
 
-  /// Per-deployment-surface responses at `biases` (serial, cache-backed).
+  /// Throws std::invalid_argument unless `biases` has one entry per
+  /// deployment surface.
+  void check_biases(const std::vector<SurfaceBias>& biases) const;
+  /// One surface's response at `bias` (cache-backed engine lookup).
+  [[nodiscard]] em::JonesMatrix response_at(const SurfaceBias& bias);
+  /// Per-deployment-surface responses at `biases` (serial, cache-backed):
+  /// all M of them, for the fleet-wide evaluate().
   [[nodiscard]] std::vector<em::JonesMatrix> responses_at(
       const std::vector<SurfaceBias>& biases);
   /// Fills `view` with device-scene-ordered response pointers.
   void view_for(const DeviceState& state,
                 const std::vector<em::JonesMatrix>& responses,
                 std::vector<const em::JonesMatrix*>& view) const;
+  /// Validates (device, biases) and resolves only `device`'s own scene
+  /// surfaces: `responses` in scene order, `view` pointing at them. One
+  /// engine lookup per kept surface, independent of M.
+  const DeviceState& resolve_scene(std::size_t device,
+                                   const std::vector<SurfaceBias>& biases,
+                                   std::vector<em::JonesMatrix>& responses,
+                                   std::vector<const em::JonesMatrix*>& view);
 
   DeploymentConfig config_;
   channel::SpatialSurfaceIndex index_;

@@ -416,6 +416,15 @@ void DeploymentEngine::finalize_report(const std::vector<DeviceSpec>& devices,
         device_scene_spec(config_.n_surfaces, config_.interference);
     const common::Frequency f = config_.frequency;
     const metasurface::SurfaceMode mode = config_.geometry.mode;
+    // Each surface's aired slot responses, resolved once per round (M x
+    // slots lookups) rather than once per listening device.
+    std::vector<std::vector<em::JonesMatrix>> aired(config_.n_surfaces);
+    for (const SurfaceReport& sr : report.surfaces) {
+      aired[sr.surface].reserve(sr.slots.size());
+      for (const control::ScheduleSlot& slot : sr.slots)
+        aired[sr.surface].push_back(
+            engine_.response(f, mode, slot.vx, slot.vy));
+    }
     for (std::size_t i = 0; i < report.devices.size(); ++i) {
       DeviceResult& d = report.devices[i];
       const channel::PropagationScene scene =
@@ -436,12 +445,12 @@ void DeploymentEngine::finalize_report(const std::vector<DeviceSpec>& devices,
       for (std::size_t s = 0; s < config_.n_surfaces; ++s) {
         if (s == d.surface) continue;
         const std::size_t leak_surface = k + 1;  // scene id of this surface
-        for (const control::ScheduleSlot& slot : report.surfaces[s].slots) {
-          const em::JonesMatrix r = engine_.response(f, mode, slot.vx,
-                                                     slot.vy);
-          responses[leak_surface] = &r;
+        const std::vector<control::ScheduleSlot>& slots =
+            report.surfaces[s].slots;
+        for (std::size_t j = 0; j < slots.size(); ++j) {
+          responses[leak_surface] = &aired[s][j];
           leak_mw +=
-              slot.slot_fraction *
+              slots[j].slot_fraction *
               scene.path_power(leakage_paths[k], config_.tx_power, f,
                                responses)
                   .value();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -56,6 +57,13 @@ TEST(CityFleetEngine, ValidatesConfigAndRoster) {
   EXPECT_THROW((void)engine.freeze_device(scenario.devices.size(),
                                           scenario.biases),
                std::out_of_range);
+  EXPECT_THROW((void)engine.freeze_device(0, short_biases),
+               std::invalid_argument);
+  channel::PropagationScene::FrozenEval frozen =
+      engine.freeze_device(0, scenario.biases);
+  const std::vector<std::size_t> retuned{engine.serving_surface(0)};
+  EXPECT_THROW(engine.refreeze_device(0, frozen, retuned, short_biases),
+               std::invalid_argument);
   EXPECT_THROW(core::city_scale_scenario(0, 1), std::invalid_argument);
 }
 
@@ -198,6 +206,34 @@ TEST(CityFleetEngine, RefreezeMatchesFreshFreezeByteForByte) {
   const std::vector<std::size_t> bad{32};
   EXPECT_THROW(engine.refreeze_device(0, incremental, bad, after),
                std::out_of_range);
+}
+
+// A freeze or refreeze resolves only the device's own scene surfaces: one
+// engine lookup per kept surface, whatever the deployment's size M.
+TEST(CityFleetEngine, FreezeLooksUpOnlyTheDevicesSceneSurfaces) {
+  for (const std::size_t m : {64u, 256u}) {
+    const core::CityScaleScenario scenario = core::city_scale_scenario(m, 16);
+    CityFleetEngine engine{scenario.config};
+    engine.assign(scenario.devices);
+    const auto lookups = [&engine] {
+      const metasurface::ResponseCacheStats s =
+          engine.response_engine().cache_stats();
+      return s.hits + s.misses;
+    };
+    for (std::size_t d = 0; d < scenario.devices.size(); ++d) {
+      const std::size_t kept = engine.scene(d).surface_count();
+      ASSERT_LT(kept, m) << "M=" << m << ": scene was not pruned";
+      const std::uint64_t before = lookups();
+      channel::PropagationScene::FrozenEval frozen =
+          engine.freeze_device(d, scenario.biases);
+      EXPECT_EQ(lookups() - before, kept) << "M=" << m << " device " << d;
+
+      const std::vector<std::size_t> retuned{engine.serving_surface(d)};
+      const std::uint64_t mid = lookups();
+      engine.refreeze_device(d, frozen, retuned, scenario.biases);
+      EXPECT_EQ(lookups() - mid, kept) << "M=" << m << " device " << d;
+    }
+  }
 }
 
 TEST(CityFleetEngine, FrozenSweepMatchesFullEvaluation) {

@@ -1,7 +1,7 @@
 // Dense-deployment polarization reuse (paper Section 7 outlook): surfaces
 // time-share across IoT devices mounted at different orientations, with all
-// per-device Algorithm-1 runs served by the DeploymentEngine's shared plan
-// registry and response cache. Reported: per-device mean power and 802.11g
+// per-device Algorithm-1 runs served by the DeploymentEngine's shared
+// response engine. Reported: per-device mean power and 802.11g
 // throughput under the schedule versus an unassisted network.
 #include <iostream>
 

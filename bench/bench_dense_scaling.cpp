@@ -1,10 +1,10 @@
 // Dense-deployment scaling: N devices x M surfaces through the
-// DeploymentEngine's shared plan registry + response cache, versus the
-// pre-engine approach of standing up one LlamaSystem per device (which
-// rebuilds per-frequency plans per grid probe and owns a private cache).
+// DeploymentEngine's shared response engine, versus the pre-engine
+// approach of standing up one LlamaSystem per device (which rebuilds
+// per-frequency plans per grid probe and owns a private cache).
 // Both paths run the identical batched Algorithm-1 measurement model
 // (expected powers, no per-probe IQ synthesis), so the speedup isolates
-// plan/cache sharing. `--json` emits one line per (N, M) point with
+// the sharing. `--json` emits one line per (N, M) point with
 // `speedup_vs_llama_system` (single-threaded engine, sharing gain only)
 // and `speedup_parallel` (default thread shard on top).
 #include <cstdio>

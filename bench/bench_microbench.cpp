@@ -8,6 +8,7 @@
 
 #include "bench/bench_harness.h"
 #include "src/core/scenarios.h"
+#include "src/deploy/deployment_engine.h"
 #include "src/em/jones.h"
 #include "src/metasurface/designs.h"
 #include "src/metasurface/metasurface.h"
@@ -141,6 +142,62 @@ int main(int argc, char** argv) {
                   ",\"per_cell_ns\":%.2f,\"speedup_vs_scalar_planned\":%.2f",
                   soa_cell_ns, scalar_cell_ns / soa_cell_ns);
     bench::print_result(soa, json, extra);
+  }
+
+  {
+    // Shared response engine, single bias pairs (the city retune pattern:
+    // every lookup at a different programming). Warm: every lattice block
+    // already solved, so a lookup is two entry loads plus one kernel
+    // cascade. Cold: the first lookup on an empty engine, which builds the
+    // (frequency, mode) plane and solves one block per axis. Both report
+    // speedup_vs_scalar_planned against the scalar planned cell; CI gates
+    // the warm ratio.
+    const metasurface::RotatorStack pstack =
+        metasurface::prototype_fr4_design();
+    const auto plan = pstack.plan_transmission(f0);
+    const auto mode = metasurface::SurfaceMode::kTransmissive;
+    double vx = 0.0;
+    double vy = 0.0;
+    const auto step = [&] {  // incommensurate strides over 0-30 V
+      vx += 0.7071;
+      if (vx > 30.0) vx -= 30.0;
+      vy += 1.3137;
+      if (vy > 30.0) vy -= 30.0;
+    };
+    const bench::BenchResult scalar =
+        bench::run_bench("shared_engine_scalar_planned", [&] {
+          step();
+          consume(pstack.transmission(plan, common::Voltage{vx},
+                                      common::Voltage{vy}));
+        });
+    bench::print_result(scalar, json);
+
+    deploy::SharedResponseEngine engine{pstack};
+    std::vector<double> lattice;
+    for (int i = 0; i <= 30000; i += 16) lattice.push_back(i * 1e-3);
+    (void)engine.response_grid(f0, mode, lattice, {0.0});  // every x block
+    (void)engine.response_grid(f0, mode, {0.0}, lattice);  // every y block
+    char extra[64];
+    const bench::BenchResult warm =
+        bench::run_bench("shared_engine_point_warm", [&] {
+          step();
+          consume(engine.response(f0, mode, common::Voltage{vx},
+                                  common::Voltage{vy}));
+        });
+    std::snprintf(extra, sizeof extra, ",\"speedup_vs_scalar_planned\":%.2f",
+                  scalar.ns_per_op / warm.ns_per_op);
+    bench::print_result(warm, json, extra);
+
+    const bench::BenchResult cold =
+        bench::run_bench("shared_engine_point_cold", [&] {
+          step();
+          engine.clear();
+          consume(engine.response(f0, mode, common::Voltage{vx},
+                                  common::Voltage{vy}));
+        });
+    std::snprintf(extra, sizeof extra, ",\"speedup_vs_scalar_planned\":%.2f",
+                  scalar.ns_per_op / cold.ns_per_op);
+    bench::print_result(cold, json, extra);
   }
 
   {

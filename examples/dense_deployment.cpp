@@ -2,7 +2,7 @@
 // devices mounted at arbitrary orientations, served by multiple LLAMA
 // surfaces that time-share bias states across compatible groups —
 // "polarization reuse" at deployment scale. All per-device Algorithm-1
-// runs draw from one shared response-plan registry and cache.
+// runs draw from one shared response engine.
 #include <cstdio>
 #include <iostream>
 
@@ -20,7 +20,7 @@ int main() {
   std::cout << "== Dense IoT deployment: " << kDevices << " devices, "
             << kSurfaces << " surfaces ==\n";
   std::cout << "optimizing every device's bias pair (Algorithm 1 per "
-               "device, shared plan registry + response cache)...\n\n";
+               "device, one shared response engine)...\n\n";
 
   deploy::DeploymentEngine engine{scenario.config};
   const deploy::DeploymentReport report = engine.run(scenario.devices);

@@ -4,31 +4,36 @@
 //
 // Two pieces:
 //
-//  - SharedResponseEngine: a thread-safe response-plan registry plus one
-//    shared ResponseCache for every link at a given frequency. A standalone
-//    LlamaSystem rebuilds per-frequency plans per grid probe and owns a
-//    private cache; at deployment scale that repeats the identical
-//    bias-independent cascade work once per device. Here the plan is built
-//    once per (frequency, mode) and every device's Algorithm-1 grid draws
-//    from (and feeds) one memo — the coarse first-iteration window is the
-//    same 0-30 V grid for every device, so all but the first device hit.
+//  - SharedResponseEngine: the Jones response of one stack design at any
+//    (frequency, mode, bias pair), shared by every link of a deployment.
+//    It keeps one axis plane per (frequency, mode). A bias-dependent
+//    board's X response depends only on Vx and its Y response only on Vy,
+//    so the plane holds every such board's per-axis S-parameters on two
+//    1-D bias lattices, index i = llround(clamp(v, 0, 30 V) / q) (default
+//    q = 1 mV, the ResponseCache quantization contract). The kernel layer
+//    solves lattice entries (kernel::solve_axis_entries) in fixed blocks of
+//    kBlockQuanta on first touch, and evaluates a cell from one X entry and
+//    one Y entry (kernel::CellCascade).
 //
 //  - DeploymentEngine: shards the per-device Algorithm-1 optimizations over
 //    common::parallel_for, then feeds each surface's per-device optima into
 //    PolarizationScheduler and reports aggregate spectral efficiency
 //    (channel::capacity) and BER (channel::ber) under the schedule.
 //
-// Thread-safety / determinism contract: the registry and cache are
-// mutex-protected; every cached value is a pure function of its quantized
-// key (the ResponseCache quantization contract), so concurrent misses that
-// race on one key compute byte-identical matrices and the engine's results
-// are byte-identical for any thread count — only the hit/miss split varies.
+// Thread-safety / determinism contract: a block is filled once, under the
+// engine's one mutex, then published with a release store; lookups read
+// published blocks with acquire loads and take no lock. A block always
+// covers the same index range and every entry is a pure function of its
+// own lattice bias, so an entry's value does not depend on which thread
+// filled its block or in what order blocks were filled. Point and grid
+// lookups run the same per-cell arithmetic, so a grid cell equals the
+// pointwise lookup bit for bit, and the engine's results are
+// byte-identical for any thread count — only the hit/miss split varies.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -81,41 +86,56 @@ class CountedMutex {
   std::atomic<std::uint64_t> contended_{0};
 };
 
-/// Thread-safe shared plan registry + response memo for one stack design.
-/// All M surfaces of a deployment are the same fabricated hardware, so one
-/// engine serves every link regardless of which surface carries it.
+/// Thread-safe shared response engine for one stack design, on lazily
+/// solved per-axis lattice planes (see the file comment). All M surfaces of
+/// a deployment are the same fabricated hardware, so one engine serves
+/// every link regardless of which surface carries it.
 class SharedResponseEngine {
  public:
+  /// Lattice entries solved per block fill.
+  static constexpr std::size_t kBlockQuanta = 64;
+  /// Largest lattice (entries per axis) the engine accepts.
+  static constexpr std::size_t kMaxLatticeEntries = std::size_t{1} << 25;
+
+  /// Only `cache.voltage_quantum_v` is read; `capacity` does not apply (the
+  /// planes never evict). Throws std::invalid_argument when the quantum is
+  /// non-finite or <= 0, or when the 0-30 V lattice would exceed
+  /// kMaxLatticeEntries entries.
   explicit SharedResponseEngine(metasurface::RotatorStack stack,
                                 metasurface::ResponseCacheConfig cache = {});
+  ~SharedResponseEngine();
+  SharedResponseEngine(const SharedResponseEngine&) = delete;
+  SharedResponseEngine& operator=(const SharedResponseEngine&) = delete;
 
-  /// Planned + cached response at a bias pair (clamped to the 0-30 V supply
-  /// range, then quantized per the cache contract). Safe to call from many
-  /// threads; the returned matrix is a pure function of
-  /// (frequency, quantized bias, mode).
+  /// Response at a bias pair, each rail clamped to the 0-30 V supply range
+  /// (so +-inf clamp to the rails) and snapped to the lattice. Safe to call
+  /// from many threads; the returned matrix is a pure function of
+  /// (frequency, lattice bias, mode). Throws std::invalid_argument on a NaN
+  /// frequency or bias.
   [[nodiscard]] em::JonesMatrix response(common::Frequency f,
                                          metasurface::SurfaceMode mode,
                                          common::Voltage vx,
                                          common::Voltage vy);
 
   /// Batched variant over a whole bias window: grid[iy][ix] is the response
-  /// at (vxs[ix], vys[iy]), equal to pointwise response() calls. The memo is
-  /// consulted and refilled with two lock acquisitions for the entire
-  /// window (not two per cell), which is what lets many device shards probe
-  /// concurrently without serializing on the cache mutex.
+  /// at (vxs[ix], vys[iy]), bit-identical to pointwise response() calls. All
+  /// of the window's missing blocks are filled under one lock acquisition.
   [[nodiscard]] metasurface::JonesGrid response_grid(
       common::Frequency f, metasurface::SurfaceMode mode,
       const std::vector<double>& vxs, const std::vector<double>& vys);
 
-  /// Number of distinct (frequency, mode) plans built so far.
+  /// Number of distinct (frequency, mode) axis planes built so far.
   [[nodiscard]] std::size_t plan_count() const;
-  /// Snapshot of the shared cache's hit/miss/eviction counters plus the
-  /// engine's lock_contention tally (contended acquisitions of the plan
-  /// and cache mutexes combined). Lock-free: safe to poll from a monitor
-  /// while device shards are inside the two-lock grid path.
+  /// Lookup counters. Each point lookup or grid cell counts exactly one hit
+  /// or one miss; a miss is a lookup that found one of its blocks unfilled
+  /// and took the fill lock. evictions is always 0. lock_contention counts
+  /// contended acquisitions of the fill mutex. Lock-free: safe to poll from
+  /// a monitor while device shards are filling blocks.
   [[nodiscard]] metasurface::ResponseCacheStats cache_stats() const;
+  /// Number of filled lattice blocks, over every plane and both axes.
   [[nodiscard]] std::size_t cache_size() const;
-  /// Drops all plans and cached responses and zeroes the statistics.
+  /// Drops every plane and zeroes the statistics. Must not run concurrently
+  /// with lookups: they read published blocks without a lock.
   void clear();
 
   [[nodiscard]] const metasurface::RotatorStack& stack() const {
@@ -123,23 +143,30 @@ class SharedResponseEngine {
   }
 
  private:
-  /// Get-or-build the shared plan for a frequency (mutex-protected).
-  [[nodiscard]] std::shared_ptr<
-      const metasurface::RotatorStack::TransmissionPlan>
-  transmission_plan(common::Frequency f);
-  [[nodiscard]] std::shared_ptr<const metasurface::RotatorStack::ReflectionPlan>
-  reflection_plan(common::Frequency f);
+  struct AxisPlane;
+
+  /// Lattice index of a bias (throws on NaN).
+  [[nodiscard]] std::size_t lattice_index(common::Voltage v) const;
+  /// The plane for (f, mode): a lock-free scan of the published planes,
+  /// building one under the fill mutex on first use.
+  [[nodiscard]] AxisPlane& plane(common::Frequency f,
+                                 metasurface::SurfaceMode mode);
+  /// Entry `index` of `axis`, solving its block if still unfilled. Caller
+  /// holds fill_mutex_.
+  const double* fill(AxisPlane& plane, std::size_t axis, std::size_t index);
+  void count(std::uint64_t hits, std::uint64_t misses);
 
   const metasurface::RotatorStack stack_;
-  mutable CountedMutex plan_mutex_;
-  std::map<double, std::shared_ptr<const metasurface::RotatorStack::
-                                       TransmissionPlan>>
-      transmission_plans_;
-  std::map<double,
-           std::shared_ptr<const metasurface::RotatorStack::ReflectionPlan>>
-      reflection_plans_;
-  mutable CountedMutex cache_mutex_;
-  metasurface::ResponseCache cache_;
+  const double quantum_v_;
+  const std::size_t lattice_entries_;
+  /// Guards plane creation, block fills, planes_ and filled_blocks_.
+  mutable CountedMutex fill_mutex_;
+  std::vector<std::unique_ptr<AxisPlane>> planes_;
+  /// Newest published plane; planes link to their predecessor.
+  std::atomic<AxisPlane*> newest_plane_{nullptr};
+  std::size_t filled_blocks_ = 0;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
 };
 
 /// Surface serving the device at roster position `index`: the spec's

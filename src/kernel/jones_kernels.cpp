@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/kernel/board_kernels.h"
 
@@ -25,41 +26,187 @@ RotationCoeffs rotation_coeffs(common::Angle theta) {
   return {c * c, s * s, c * s};
 }
 
+/// A 2x2 complex matrix as eight doubles: re[4] then im[4], row-major.
+void split(const JonesMatrix& m, double* out) {
+  for (int e = 0; e < 4; ++e) {
+    out[e] = m.at(e / 2, e % 2).real();
+    out[4 + e] = m.at(e / 2, e % 2).imag();
+  }
+}
+
+JonesMatrix unsplit(const double* m) {
+  return JonesMatrix{Complex{m[0], m[4]}, Complex{m[1], m[5]},
+                     Complex{m[2], m[6]}, Complex{m[3], m[7]}};
+}
+
+/// out = (vr + j vi) * m, or out += it when Accumulate, for a split matrix
+/// m.
+template <bool Accumulate>
+void scale_into(double vr, double vi, const double* m, double* out) {
+  for (int e = 0; e < 4; ++e) {
+    const double re = vr * m[e] - vi * m[4 + e];
+    const double im = vr * m[4 + e] + vi * m[e];
+    out[e] = Accumulate ? out[e] + re : re;
+    out[4 + e] = Accumulate ? out[4 + e] + im : im;
+  }
+}
+
+/// Index of `channel` in `channels`, appending it unless an equal one is
+/// already there: identical boards share one solve and one lattice entry.
+std::size_t add_channel(std::vector<AxisChannel>& channels,
+                        const AxisChannel& channel) {
+  const auto it = std::find(channels.begin(), channels.end(), channel);
+  if (it != channels.end())
+    return static_cast<std::size_t>(it - channels.begin());
+  channels.push_back(channel);
+  return channels.size() - 1;
+}
+
 }  // namespace
+
+// -------------------------------------------------------------------- channels
+
+void solve_channels(std::span<const AxisChannel> channels, BiasAxis axis,
+                    std::span<const double> biases,
+                    std::span<ComplexLanes> lanes) {
+  LLAMA_EXPECTS(lanes.size() == channels.size(), "one lane per channel");
+  // Static faces ignore the capacitance lane but take its length.
+  Lane capacitance(biases.size(), 0.0);
+  const microwave::Varactor* solved_for = nullptr;
+  for (std::size_t k = 0; k < channels.size(); ++k) {
+    const AxisChannel& channel = channels[k];
+    const metasurface::BoardAxisPlan& plan = channel.plan(axis);
+    if (axis_uses_bias(plan) &&
+        (solved_for == nullptr || !(*solved_for == channel.varactor))) {
+      capacitance_lane(channel.varactor, biases, capacitance);
+      solved_for = &channel.varactor;
+    }
+    const bool s21 = channel.output == AxisOutput::kS21;
+    axis_s_lanes(plan, channel.omega, channel.varactor.series_resistance(),
+                 capacitance, channel.output, s21 ? &lanes[k] : nullptr,
+                 s21 ? nullptr : &lanes[k]);
+  }
+}
+
+void solve_axis_entries(std::span<const AxisChannel> channels, BiasAxis axis,
+                        std::span<const double> biases, double* out) {
+  const std::size_t width = channels.size();
+  std::vector<ComplexLanes> lanes(width);
+  solve_channels(channels, axis, biases, lanes);
+  for (std::size_t k = 0; k < width; ++k)
+    for (std::size_t i = 0; i < biases.size(); ++i) {
+      out[2 * (i * width + k)] = lanes[k].re[i];
+      out[2 * (i * width + k) + 1] = lanes[k].im[i];
+    }
+}
+
+// ---------------------------------------------------------------- cell cascade
+
+void CellCascade::factor_half(const Factor& f, BiasAxis axis,
+                              const double* entry, double* half) const {
+  if (f.terms.empty()) {
+    std::fill_n(half, 8, 0.0);
+    return;
+  }
+  const auto coefficients = [axis](const Term& t) {
+    return axis == BiasAxis::kX ? t.x : t.y;
+  };
+  const Term& first = f.terms.front();
+  scale_into<false>(entry[2 * first.channel], entry[2 * first.channel + 1],
+                    coefficients(first), half);
+  for (std::size_t i = 1; i < f.terms.size(); ++i) {
+    const Term& t = f.terms[i];
+    scale_into<true>(entry[2 * t.channel], entry[2 * t.channel + 1],
+                     coefficients(t), half);
+  }
+}
+
+void CellCascade::apply_factor(const Factor& f, const double* x_half,
+                               const double* y_half, bool first, double* u) {
+  double k[8];
+  for (int e = 0; e < 8; ++e)
+    k[e] = f.has_constant ? f.constant[e] + x_half[e] + y_half[e]
+                          : x_half[e] + y_half[e];
+  if (first) {
+    std::copy_n(k, 8, u);
+    return;
+  }
+  // u = k * u over split re/im halves.
+  double t[8];
+  for (int r = 0; r < 2; ++r)
+    for (int c = 0; c < 2; ++c) {
+      const double ar = k[2 * r], ai = k[4 + 2 * r];
+      const double br = k[2 * r + 1], bi = k[4 + 2 * r + 1];
+      t[2 * r + c] =
+          ar * u[c] - ai * u[4 + c] + br * u[2 + c] - bi * u[6 + c];
+      t[4 + 2 * r + c] =
+          ar * u[4 + c] + ai * u[c] + br * u[6 + c] + bi * u[2 + c];
+    }
+  std::copy_n(t, 8, u);
+}
+
+void CellCascade::axis_terms(BiasAxis axis, const double* entry,
+                             double* terms) const {
+  for (std::size_t f = 0; f < factors_.size(); ++f)
+    factor_half(factors_[f], axis, entry, terms + 8 * f);
+}
+
+JonesMatrix CellCascade::combine(const double* x_terms,
+                                 const double* y_terms) const {
+  double u[8];
+  for (std::size_t f = 0; f < factors_.size(); ++f)
+    apply_factor(factors_[f], x_terms + 8 * f, y_terms + 8 * f, f == 0, u);
+  return unsplit(u);
+}
+
+JonesMatrix CellCascade::eval(const double* x, const double* y) const {
+  double u[8];
+  for (std::size_t f = 0; f < factors_.size(); ++f) {
+    double x_half[8];
+    double y_half[8];
+    factor_half(factors_[f], BiasAxis::kX, x, x_half);
+    factor_half(factors_[f], BiasAxis::kY, y, y_half);
+    apply_factor(factors_[f], x_half, y_half, f == 0, u);
+  }
+  return unsplit(u);
+}
 
 // ---------------------------------------------------------------- transmission
 
-TransmissionKernel::TransmissionKernel(
+TransmissionCascade::TransmissionCascade(
     const metasurface::RotatorStack& stack,
-    const metasurface::RotatorStack::TransmissionPlan& plan,
-    std::span<const double> vx, std::span<const double> vy)
-    : nx_(vx.size()), ny_(vy.size()) {
+    const metasurface::RotatorStack::TransmissionPlan& plan) {
   // Fold every run of consecutive static boards and air-gap phases into one
-  // constant matrix; solve each tunable board's axes as whole lanes. The
-  // multiplication ORDER matches the scalar planned loop (first element
-  // multiplies from the right), but the folding reassociates — hence the
-  // <= 1e-12 (not bit-equal) contract with the scalar path.
+  // constant matrix. The multiplication ORDER matches the scalar planned
+  // loop (first element multiplies from the right), but the folding
+  // reassociates — hence the <= 1e-12 (not bit-equal) contract with the
+  // scalar path.
   JonesMatrix pending = JonesMatrix::identity();
   bool have_pending = false;
+  const auto flush = [&] {
+    if (!have_pending) return;
+    Op op;
+    op.constant = pending;
+    ops_.push_back(op);
+    pending = JonesMatrix::identity();
+    have_pending = false;
+  };
   for (const metasurface::RotatorStack::TransmissionStep& step : plan.steps) {
     if (step.tunable) {
-      if (have_pending) {
-        ops_.push_back(Op{false, 0, pending});
-        pending = JonesMatrix::identity();
-        have_pending = false;
-      }
-      TunableLanes lanes;
+      flush();
       const metasurface::Board& board = stack.elements()[step.index].board;
-      axis_s_lanes(step.board_plan.x, step.board_plan.omega, board.varactor(),
-                   vx, AxisOutput::kS21, &lanes.tx, nullptr);
-      axis_s_lanes(step.board_plan.y, step.board_plan.omega, board.varactor(),
-                   vy, AxisOutput::kS21, &lanes.ty, nullptr);
       const RotationCoeffs rc = rotation_coeffs(step.rotation);
-      lanes.c2 = rc.c2;
-      lanes.s2 = rc.s2;
-      lanes.cs = rc.cs;
-      ops_.push_back(Op{true, tunables_.size(), JonesMatrix{}});
-      tunables_.push_back(std::move(lanes));
+      Op op;
+      op.tunable = true;
+      op.channel = add_channel(
+          channels_,
+          AxisChannel{step.board_plan.x, step.board_plan.y,
+                      step.board_plan.omega, board.varactor(),
+                      AxisOutput::kS21});
+      op.c2 = rc.c2;
+      op.s2 = rc.s2;
+      op.cs = rc.cs;
+      ops_.push_back(op);
       if (step.has_gap) {
         pending = step.gap_factor * JonesMatrix::identity();
         have_pending = true;
@@ -70,7 +217,65 @@ TransmissionKernel::TransmissionKernel(
       have_pending = true;
     }
   }
-  if (have_pending) ops_.push_back(Op{false, 0, pending});
+  flush();
+}
+
+CellCascade TransmissionCascade::cells() const {
+  // Tunable board k's T_k = x P_k + y Q_k becomes C T_k (the first also
+  // absorbs the opening static run on its right), so
+  // F_k = x_k (C P_k) + y_k (C Q_k). Folding reassociates, which the
+  // <= 1e-12 contract allows.
+  CellCascade out;
+  out.channels_ = channels_;
+  struct Pending {
+    std::size_t channel;
+    JonesMatrix x, y;
+  };
+  JonesMatrix opening = JonesMatrix::identity();
+  std::vector<Pending> factors;
+  for (const Op& op : ops_) {
+    if (!op.tunable) {
+      if (factors.empty()) {
+        opening = op.constant * opening;
+      } else {
+        factors.back().x = op.constant * factors.back().x;
+        factors.back().y = op.constant * factors.back().y;
+      }
+      continue;
+    }
+    const Complex c2{op.c2, 0.0}, s2{op.s2, 0.0}, cs{op.cs, 0.0};
+    const JonesMatrix p{c2, cs, cs, s2};
+    const JonesMatrix q{s2, -cs, -cs, c2};
+    factors.push_back({op.channel, p * opening, q * opening});
+    opening = JonesMatrix::identity();
+  }
+  for (const Pending& f : factors) {
+    CellCascade::Term term;
+    term.channel = f.channel;
+    split(f.x, term.x);
+    split(f.y, term.y);
+    out.factors_.emplace_back().terms.push_back(term);
+  }
+  if (factors.empty()) {  // nothing tunable: the whole stack is constant
+    CellCascade::Factor constant;
+    constant.has_constant = true;
+    split(opening, constant.constant);
+    out.factors_.push_back(constant);
+  }
+  return out;
+}
+
+TransmissionKernel::TransmissionKernel(
+    const metasurface::RotatorStack& stack,
+    const metasurface::RotatorStack::TransmissionPlan& plan,
+    std::span<const double> vx, std::span<const double> vy)
+    : cascade_(stack, plan), nx_(vx.size()), ny_(vy.size()) {
+  // Solve each tunable board's axes as whole lanes.
+  const std::vector<AxisChannel>& channels = cascade_.channels();
+  tx_.resize(channels.size());
+  ty_.resize(channels.size());
+  solve_channels(channels, BiasAxis::kX, vx, tx_);
+  solve_channels(channels, BiasAxis::kY, vy, ty_);
 }
 
 void TransmissionKernel::set_blend(const StuckBlend& blend) {
@@ -119,14 +324,13 @@ void TransmissionKernel::eval_cells(std::size_t tx_offset,
   std::fill_n(t11r, n, 1.0);
   std::fill_n(t11i, n, 0.0);
 
-  for (const Op& op : ops_) {
+  for (const TransmissionCascade::Op& op : cascade_.ops_) {
     if (op.tunable) {
-      const TunableLanes& t = tunables_[op.lane_index];
-      const double* txr = t.tx.re.data() + tx_offset;
-      const double* txi = t.tx.im.data() + tx_offset;
-      const double* tyr = t.ty.re.data() + ty_offset;
-      const double* tyi = t.ty.im.data() + ty_offset;
-      const double c2 = t.c2, s2 = t.s2, cs = t.cs;
+      const double* txr = tx_[op.channel].re.data() + tx_offset;
+      const double* txi = tx_[op.channel].im.data() + tx_offset;
+      const double* tyr = ty_[op.channel].re.data() + ty_offset;
+      const double* tyi = ty_[op.channel].im.data() + ty_offset;
+      const double c2 = op.c2, s2 = op.s2, cs = op.cs;
       for (std::size_t i = 0; i < n; ++i) {
         const double xr = txr[i], xi = txi[i];
         const double yr = tyr[i * TyStride], yi = tyi[i * TyStride];
@@ -204,31 +408,24 @@ void TransmissionKernel::eval_cells(std::size_t tx_offset,
 
 // ------------------------------------------------------------------ reflection
 
-ReflectionKernel::ReflectionKernel(
+ReflectionCascade::ReflectionCascade(
     const metasurface::RotatorStack& stack,
-    const metasurface::RotatorStack::ReflectionPlan& plan,
-    std::span<const double> vx, std::span<const double> vy)
-    : nx_(vx.size()), ny_(vy.size()) {
+    const metasurface::RotatorStack::ReflectionPlan& plan) {
   const metasurface::StackElement& target = stack.elements()[plan.target_index];
+  const AxisChannel target_channel{plan.target_plan.x, plan.target_plan.y,
+                                   plan.target_plan.omega,
+                                   target.board.varactor(), AxisOutput::kS11};
   target_uses_bias_ = plan.target_uses_bias;
   if (target_uses_bias_) {
-    axis_s_lanes(plan.target_plan.x, plan.target_plan.omega,
-                 target.board.varactor(), vx, AxisOutput::kS11, nullptr, &rx_);
-    axis_s_lanes(plan.target_plan.y, plan.target_plan.omega,
-                 target.board.varactor(), vy, AxisOutput::kS11, nullptr, &ry_);
+    target_channel_ = add_channel(channels_, target_channel);
   } else {
-    // Bias-independent target: solve once at 0 V and broadcast, so the
-    // evaluation loops can index lanes uniformly.
+    // Bias-independent target: solve once at 0 V.
     const double zero = 0.0;
-    ComplexLanes one;
-    axis_s_lanes(plan.target_plan.x, plan.target_plan.omega,
-                 target.board.varactor(), std::span<const double>{&zero, 1},
-                 AxisOutput::kS11, nullptr, &one);
-    rx_.fill(nx_, one.at(0));
-    axis_s_lanes(plan.target_plan.y, plan.target_plan.omega,
-                 target.board.varactor(), std::span<const double>{&zero, 1},
-                 AxisOutput::kS11, nullptr, &one);
-    ry_.fill(ny_, one.at(0));
+    ComplexLanes one[1];
+    solve_channels({&target_channel, 1}, BiasAxis::kX, {&zero, 1}, one);
+    rx_fixed_ = one[0].at(0);
+    solve_channels({&target_channel, 1}, BiasAxis::kY, {&zero, 1}, one);
+    ry_fixed_ = one[0].at(0);
   }
   const RotationCoeffs rc = rotation_coeffs(target.rotation);
   c2_ = rc.c2;
@@ -252,16 +449,112 @@ ReflectionKernel::ReflectionKernel(
   front_uses_bias_ = plan.front_uses_bias;
   if (front_uses_bias_) {
     const metasurface::StackElement& first = stack.elements().front();
-    axis_s_lanes(plan.front_plan.x, plan.front_plan.omega,
-                 first.board.varactor(), vx, AxisOutput::kS11, nullptr, &r0x_);
-    axis_s_lanes(plan.front_plan.y, plan.front_plan.omega,
-                 first.board.varactor(), vy, AxisOutput::kS11, nullptr, &r0y_);
+    front_channel_ = add_channel(
+        channels_, AxisChannel{plan.front_plan.x, plan.front_plan.y,
+                    plan.front_plan.omega, first.board.varactor(),
+                    AxisOutput::kS11});
     const RotationCoeffs fc = rotation_coeffs(first.rotation);
     fc2_ = fc.c2;
     fs2_ = fc.s2;
     fcs_ = fc.cs;
   } else {
     gamma_front_ = plan.gamma_front;
+  }
+}
+
+CellCascade ReflectionCascade::cells() const {
+  // The cell factor K + sum_k (x_k X_k + y_k Y_k): with a = c2 rx + s2 ry,
+  // b = cs (rx - ry), d = s2 rx + c2 ry the deep bounce is
+  // rx (c2 G_a + cs G_b + s2 G_d) + ry (s2 G_a - cs G_b + c2 G_d); the
+  // front term is (r0x + r0y)/2 I + kfb (r0x - r0y)/2 D with
+  // D = [[fc2 - fs2, 2 fcs], [2 fcs, fs2 - fc2]].
+  const JonesMatrix deep_x = c2_ * wga_ + cs_ * wgb_ + s2_ * wgd_;
+  const JonesMatrix deep_y = s2_ * wga_ + (-cs_) * wgb_ + c2_ * wgd_;
+  CellCascade::Factor factor;
+  factor.has_constant = true;
+  JonesMatrix constant = front_uses_bias_ ? JonesMatrix{} : gamma_front_;
+  if (target_uses_bias_) {
+    CellCascade::Term term;
+    term.channel = target_channel_;
+    split(deep_x, term.x);
+    split(deep_y, term.y);
+    factor.terms.push_back(term);
+  } else {
+    constant = constant + rx_fixed_ * deep_x + ry_fixed_ * deep_y;
+  }
+  if (front_uses_bias_) {
+    const Complex half{0.5, 0.0};
+    const Complex diag{fc2_ - fs2_, 0.0}, off{2.0 * fcs_, 0.0};
+    const JonesMatrix d =
+        metasurface::kFrontBirefringence * JonesMatrix{diag, off, off, -diag};
+    CellCascade::Term term;
+    term.channel = front_channel_;
+    split(half * (JonesMatrix::identity() + d), term.x);
+    split(half * (JonesMatrix::identity() + (-1.0) * d), term.y);
+    factor.terms.push_back(term);
+  }
+  split(constant, factor.constant);
+  CellCascade out;
+  out.channels_ = channels_;
+  out.factors_.push_back(factor);
+  return out;
+}
+
+JonesMatrix ReflectionCascade::cell(Complex rx, Complex ry, Complex r0x,
+                                    Complex r0y) const {
+  const double xr = rx.real(), xi = rx.imag();
+  const double yr = ry.real(), yi = ry.imag();
+  // Rotated diag(rx, ry) coefficients of the deep bounce.
+  const Complex a{c2_ * xr + s2_ * yr, c2_ * xi + s2_ * yi};
+  const Complex b{cs_ * (xr - yr), cs_ * (xi - yi)};
+  const Complex d{s2_ * xr + c2_ * yr, s2_ * xi + c2_ * yi};
+  Complex gf00, gf01, gf10, gf11;
+  if (front_uses_bias_) {
+    // front_gamma (rotator_stack.h) in decomposed per-cell form.
+    const Complex rm = 0.5 * (r0x + r0y);
+    const Complex p = r0x - rm;
+    const Complex q = r0y - rm;
+    const Complex kfb = metasurface::kFrontBirefringence;
+    gf00 = rm + kfb * (fc2_ * p + fs2_ * q);
+    gf01 = kfb * (fcs_ * (p - q));
+    gf10 = gf01;
+    gf11 = rm + kfb * (fs2_ * p + fc2_ * q);
+  } else {
+    gf00 = gamma_front_.at(0, 0);
+    gf01 = gamma_front_.at(0, 1);
+    gf10 = gamma_front_.at(1, 0);
+    gf11 = gamma_front_.at(1, 1);
+  }
+  return JonesMatrix{
+      gf00 + a * wga_.at(0, 0) + b * wgb_.at(0, 0) + d * wgd_.at(0, 0),
+      gf01 + a * wga_.at(0, 1) + b * wgb_.at(0, 1) + d * wgd_.at(0, 1),
+      gf10 + a * wga_.at(1, 0) + b * wgb_.at(1, 0) + d * wgd_.at(1, 0),
+      gf11 + a * wga_.at(1, 1) + b * wgb_.at(1, 1) + d * wgd_.at(1, 1)};
+}
+
+ReflectionKernel::ReflectionKernel(
+    const metasurface::RotatorStack& stack,
+    const metasurface::RotatorStack::ReflectionPlan& plan,
+    std::span<const double> vx, std::span<const double> vy)
+    : cascade_(stack, plan), nx_(vx.size()), ny_(vy.size()) {
+  const std::vector<AxisChannel>& channels = cascade_.channels();
+  std::vector<ComplexLanes> x_lanes(channels.size());
+  std::vector<ComplexLanes> y_lanes(channels.size());
+  solve_channels(channels, BiasAxis::kX, vx, x_lanes);
+  solve_channels(channels, BiasAxis::kY, vy, y_lanes);
+  // The front lanes first: they may be the target's, which then move.
+  if (cascade_.front_uses_bias_) {
+    r0x_ = x_lanes[cascade_.front_channel_];
+    r0y_ = y_lanes[cascade_.front_channel_];
+  }
+  if (cascade_.target_uses_bias_) {
+    rx_ = std::move(x_lanes[cascade_.target_channel_]);
+    ry_ = std::move(y_lanes[cascade_.target_channel_]);
+  } else {
+    // Broadcast the 0 V solve, so the evaluation loops can index lanes
+    // uniformly.
+    rx_.fill(nx_, cascade_.rx_fixed_);
+    ry_.fill(ny_, cascade_.ry_fixed_);
   }
 }
 
@@ -286,46 +579,22 @@ void ReflectionKernel::eval_pairs(std::size_t begin, std::size_t end,
 template <int RyStride>
 void ReflectionKernel::eval_cells(std::size_t rx_offset, std::size_t ry_offset,
                                   std::size_t n, em::JonesMatrix* out) const {
+  const bool front = cascade_.front_uses_bias_;
   const double* rxr = rx_.re.data() + rx_offset;
   const double* rxi = rx_.im.data() + rx_offset;
   const double* ryr = ry_.re.data() + ry_offset;
   const double* ryi = ry_.im.data() + ry_offset;
-  const double* x0r = front_uses_bias_ ? r0x_.re.data() + rx_offset : nullptr;
-  const double* x0i = front_uses_bias_ ? r0x_.im.data() + rx_offset : nullptr;
-  const double* y0r = front_uses_bias_ ? r0y_.re.data() + ry_offset : nullptr;
-  const double* y0i = front_uses_bias_ ? r0y_.im.data() + ry_offset : nullptr;
-  const double kfbr = metasurface::kFrontBirefringence.real();
-  const double kfbi = metasurface::kFrontBirefringence.imag();
+  const double* x0r = front ? r0x_.re.data() + rx_offset : nullptr;
+  const double* x0i = front ? r0x_.im.data() + rx_offset : nullptr;
+  const double* y0r = front ? r0y_.re.data() + ry_offset : nullptr;
+  const double* y0i = front ? r0y_.im.data() + ry_offset : nullptr;
   for (std::size_t i = 0; i < n; ++i) {
-    const double xr = rxr[i], xi = rxi[i];
-    const double yr = ryr[i * RyStride], yi = ryi[i * RyStride];
-    // Rotated diag(rx, ry) coefficients of the deep bounce.
-    const Complex a{c2_ * xr + s2_ * yr, c2_ * xi + s2_ * yi};
-    const Complex b{cs_ * (xr - yr), cs_ * (xi - yi)};
-    const Complex d{s2_ * xr + c2_ * yr, s2_ * xi + c2_ * yi};
-    Complex gf00, gf01, gf10, gf11;
-    if (front_uses_bias_) {
-      const Complex r0x{x0r[i], x0i[i]};
-      const Complex r0y{y0r[i * RyStride], y0i[i * RyStride]};
-      // front_gamma (rotator_stack.h) in decomposed per-cell form.
-      const Complex rm = 0.5 * (r0x + r0y);
-      const Complex p = r0x - rm;
-      const Complex q = r0y - rm;
-      const Complex kfb{kfbr, kfbi};
-      gf00 = rm + kfb * (fc2_ * p + fs2_ * q);
-      gf01 = kfb * (fcs_ * (p - q));
-      gf10 = gf01;
-      gf11 = rm + kfb * (fs2_ * p + fc2_ * q);
-    } else {
-      gf00 = gamma_front_.at(0, 0);
-      gf01 = gamma_front_.at(0, 1);
-      gf10 = gamma_front_.at(1, 0);
-      gf11 = gamma_front_.at(1, 1);
-    }
-    JonesMatrix cell{gf00 + a * wga_.at(0, 0) + b * wgb_.at(0, 0) + d * wgd_.at(0, 0),
-                     gf01 + a * wga_.at(0, 1) + b * wgb_.at(0, 1) + d * wgd_.at(0, 1),
-                     gf10 + a * wga_.at(1, 0) + b * wgb_.at(1, 0) + d * wgd_.at(1, 0),
-                     gf11 + a * wga_.at(1, 1) + b * wgb_.at(1, 1) + d * wgd_.at(1, 1)};
+    const Complex r0x = front ? Complex{x0r[i], x0i[i]} : Complex{};
+    const Complex r0y = front ? Complex{y0r[i * RyStride], y0i[i * RyStride]}
+                              : Complex{};
+    JonesMatrix cell = cascade_.cell(
+        Complex{rxr[i], rxi[i]},
+        Complex{ryr[i * RyStride], ryi[i * RyStride]}, r0x, r0y);
     if (blend_enabled_) {
       cell = blend_.keep * cell + blend_.frac * blend_.stuck;
     }

@@ -2,19 +2,26 @@
 //
 // The scalar planned path (RotatorStack::transmission/reflection over a
 // plan) evaluates one (Vx, Vy) cell at a time; these kernels evaluate a
-// whole plane. Construction factors the plan into per-axis lanes — for each
-// tunable board, tx depends only on Vx and ty only on Vy, so an nx-by-ny
-// grid needs nx + ny board solves (src/kernel/board_kernels) instead of
-// nx * ny — and folds every run of consecutive static boards and air gaps
-// into a single constant Jones matrix. Evaluation then cascades 2x2 complex
-// multiplies over split re/im lanes (src/kernel/lanes.h), which the
-// compiler auto-vectorizes.
+// whole plane. A plan factors into per-axis channels — for each
+// bias-dependent board, the X response depends only on Vx and the Y
+// response only on Vy, so an nx-by-ny grid needs nx + ny board solves
+// (src/kernel/board_kernels) instead of nx * ny — and a bias-independent
+// cascade: every run of consecutive static boards and air gaps folded into
+// a single constant Jones matrix.
 //
-// Contract with the scalar golden reference: the kernels may reassociate
-// (constant folding, naive complex division), so results agree with the
-// planned scalar path to <= 1e-12 per component — NOT bit-for-bit. Within
-// the kernel itself every cell is a pure function of (plan, axes, cell
-// index), so one kernel instance produces byte-identical planes for any
+// TransmissionCascade / ReflectionCascade hold the bias-independent half.
+// Two evaluators share it:
+//  - TransmissionKernel / ReflectionKernel solve the channels as whole
+//    lanes and cascade 2x2 complex multiplies over split re/im lanes
+//    (src/kernel/lanes.h), which the compiler auto-vectorizes;
+//  - CellCascade evaluates one cell from per-axis S-parameters solved
+//    elsewhere (deploy::SharedResponseEngine keeps them on a bias lattice).
+//
+// Contract with the scalar golden reference: the kernels and cascades may
+// reassociate (constant folding, naive complex division), so results agree
+// with the planned scalar path to <= 1e-12 per component — NOT bit-for-bit.
+// Within the kernel itself every cell is a pure function of (plan, axes,
+// cell index), so one kernel instance produces byte-identical planes for any
 // thread count / shard shape; both properties are asserted by
 // tests/kernel/test_golden_equivalence.cpp.
 #pragma once
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "src/em/jones.h"
+#include "src/kernel/board_kernels.h"
 #include "src/kernel/lanes.h"
 #include "src/metasurface/rotator_stack.h"
 
@@ -35,6 +43,180 @@ struct StuckBlend {
   em::Complex keep{1.0, 0.0};
   em::Complex frac{0.0, 0.0};
   em::JonesMatrix stuck;
+};
+
+/// Which bias rail a per-axis solve runs on.
+enum class BiasAxis { kX, kY };
+
+/// One bias-dependent per-axis S-parameter that a cascade reads at every
+/// cell: a board's X-axis value depends only on Vx, its Y-axis value only
+/// on Vy.
+struct AxisChannel {
+  metasurface::BoardAxisPlan x;
+  metasurface::BoardAxisPlan y;
+  double omega = 0.0;
+  microwave::Varactor varactor;
+  AxisOutput output = AxisOutput::kS21;  ///< kS21 or kS11
+
+  [[nodiscard]] const metasurface::BoardAxisPlan& plan(BiasAxis axis) const {
+    return axis == BiasAxis::kX ? x : y;
+  }
+
+  friend bool operator==(const AxisChannel&, const AxisChannel&) = default;
+};
+
+/// Solves channels[k] on `axis` for every bias into lanes[k]. Channels with
+/// an equal varactor share one capacitance lane, so the pow() runs once per
+/// bias per distinct varactor; each slot is a pure function of its own
+/// bias.
+void solve_channels(std::span<const AxisChannel> channels, BiasAxis axis,
+                    std::span<const double> biases,
+                    std::span<ComplexLanes> lanes);
+
+/// solve_channels, interleaved into per-bias entries: entry i starts at
+/// out + 2 * channels.size() * i and holds channel k's value as
+/// (re, im) at offset 2k.
+void solve_axis_entries(std::span<const AxisChannel> channels, BiasAxis axis,
+                        std::span<const double> biases, double* out);
+
+/// A plan's response at one cell from per-axis S-parameters solved
+/// elsewhere (deploy::SharedResponseEngine keeps them on a bias lattice).
+/// The plan's folded constants are multiplied into a cascade of factors,
+/// each affine in the channel values:
+///   J = F_m ... F_1,   F_f = K_f + sum_k (x_k X_fk + y_k Y_fk).
+/// A cell therefore splits into an X half (sum_k x_k X_fk, per factor), a Y
+/// half and a combine step that adds the halves and multiplies the factors.
+/// eval() and axis_terms() + combine() run the same arithmetic, so a grid
+/// that computes each column's and row's half once equals pointwise eval()
+/// bit for bit. No scratch: a single cell allocates nothing.
+class CellCascade {
+ public:
+  [[nodiscard]] const std::vector<AxisChannel>& channels() const {
+    return channels_;
+  }
+  /// Doubles per axis half: a 2x2 complex matrix (re[4] then im[4]) per
+  /// factor.
+  [[nodiscard]] std::size_t terms_size() const { return 8 * factors_.size(); }
+
+  /// One axis half from one entry (channel k's value on `axis` as (re, im)
+  /// at entry[2k], the solve_axis_entries layout); writes terms_size()
+  /// doubles.
+  void axis_terms(BiasAxis axis, const double* entry, double* terms) const;
+  /// The cell from one X half and one Y half.
+  [[nodiscard]] em::JonesMatrix combine(const double* x_terms,
+                                        const double* y_terms) const;
+  /// combine(axis_terms(kX, x), axis_terms(kY, y)) without the buffers.
+  [[nodiscard]] em::JonesMatrix eval(const double* x, const double* y) const;
+
+ private:
+  friend class TransmissionCascade;
+  friend class ReflectionCascade;
+
+  /// Channel `channel`'s coefficient matrices X_fk and Y_fk (re then im).
+  struct Term {
+    std::size_t channel = 0;
+    double x[8] = {};
+    double y[8] = {};
+  };
+  struct Factor {
+    bool has_constant = false;
+    double constant[8] = {};
+    std::vector<Term> terms;
+  };
+
+  void factor_half(const Factor& f, BiasAxis axis, const double* entry,
+                   double* half) const;
+  /// u = F * u (or u = F for the first factor), F = (K +) x_half + y_half.
+  static void apply_factor(const Factor& f, const double* x_half,
+                           const double* y_half, bool first, double* u);
+
+  std::vector<AxisChannel> channels_;
+  std::vector<Factor> factors_;
+};
+
+/// The bias-independent half of a transmission plan: every run of static
+/// boards and air gaps folded into one constant, and each tunable board's
+/// rotation. The channels are the tunable boards' S21, in cascade order.
+class TransmissionCascade {
+ public:
+  TransmissionCascade(const metasurface::RotatorStack& stack,
+                      const metasurface::RotatorStack::TransmissionPlan& plan);
+
+  /// Tunable boards' channels; identical boards (a stack's twin BFS
+  /// boards) share one.
+  [[nodiscard]] const std::vector<AxisChannel>& channels() const {
+    return channels_;
+  }
+
+  /// The same cascade as a CellCascade, built on each call: tunable board k
+  /// is the factor C T_k (T_1 also absorbs the opening static run), with
+  /// T_k = x_k R diag(1, 0) R^T + y_k R diag(0, 1) R^T and C the static run
+  /// after it.
+  [[nodiscard]] CellCascade cells() const;
+
+ private:
+  friend class TransmissionKernel;
+
+  /// One cascade step: a run of folded constants, or one tunable board
+  /// (channels_[channel]) with its rotation split into the
+  /// rotated-diagonal coefficients c^2, s^2, c*s.
+  struct Op {
+    bool tunable = false;
+    std::size_t channel = 0;
+    double c2 = 1.0;
+    double s2 = 0.0;
+    double cs = 0.0;
+    em::JonesMatrix constant;
+  };
+
+  std::vector<Op> ops_;
+  std::vector<AxisChannel> channels_;
+};
+
+/// The bias-independent half of a reflection plan: the deep bounce
+/// F^T rotated(diag(rx, ry)) F decomposed into three constant matrices
+/// weighted by the per-cell rotated-diagonal coefficients of (rx, ry), plus
+/// the front-face specular term. Channels, in order: the target board's S11
+/// when it depends on bias, then the front board's S11 when it does.
+class ReflectionCascade {
+ public:
+  ReflectionCascade(const metasurface::RotatorStack& stack,
+                    const metasurface::RotatorStack::ReflectionPlan& plan);
+
+  /// The target's and the front board's channels (one when they are the
+  /// same board).
+  [[nodiscard]] const std::vector<AxisChannel>& channels() const {
+    return channels_;
+  }
+
+  /// The same model as a CellCascade, built on each call: both the deep
+  /// bounce and the front term are linear in the channel values, so it is
+  /// one factor K + x·X + y·Y.
+  [[nodiscard]] CellCascade cells() const;
+
+ private:
+  friend class ReflectionKernel;
+
+  /// Closed-form cell: (rx, ry) the target's S11, (r0x, r0y) the front
+  /// board's (read only when front_uses_bias_).
+  [[nodiscard]] em::JonesMatrix cell(em::Complex rx, em::Complex ry,
+                                     em::Complex r0x, em::Complex r0y) const;
+
+  std::vector<AxisChannel> channels_;
+  bool target_uses_bias_ = false;
+  std::size_t target_channel_ = 0;  ///< when target_uses_bias_
+  std::size_t front_channel_ = 0;   ///< when front_uses_bias_
+  /// Target S11 solved once at 0 V when the target ignores bias.
+  em::Complex rx_fixed_;
+  em::Complex ry_fixed_;
+  double c2_ = 1.0, s2_ = 0.0, cs_ = 0.0;  ///< target rotation coefficients
+  /// kDeepPathWeight * F^T E_k F for E_k in {E00, E01+E10, E11}.
+  em::JonesMatrix wga_, wgb_, wgd_;
+  /// Front-face specular term: constant when the first board is static,
+  /// otherwise rebuilt per cell from the front channel.
+  bool front_uses_bias_ = false;
+  em::JonesMatrix gamma_front_;
+  double fc2_ = 1.0, fs2_ = 0.0, fcs_ = 0.0;  ///< front rotation coefficients
 };
 
 /// Transmission cascade over a bias plane. The same instance serves both
@@ -65,40 +247,24 @@ class TransmissionKernel {
                   em::JonesMatrix* out) const;
 
  private:
-  /// One cascade step: a run of folded constants, or one tunable board
-  /// whose per-axis lanes live in tunables_[lane_index].
-  struct Op {
-    bool tunable = false;
-    std::size_t lane_index = 0;
-    em::JonesMatrix constant;
-  };
-  /// Per-axis transmission lanes of one tunable board plus its rotation
-  /// split into the rotated-diagonal coefficients c^2, s^2, c*s.
-  struct TunableLanes {
-    ComplexLanes tx;  ///< s21 of the X axis over the vx lane
-    ComplexLanes ty;  ///< s21 of the Y axis over the vy lane
-    double c2 = 1.0;
-    double s2 = 0.0;
-    double cs = 0.0;
-  };
-
   template <int TyStride>
   void eval_cells(std::size_t tx_offset, std::size_t ty_offset, std::size_t n,
                   em::JonesMatrix* out) const;
 
+  TransmissionCascade cascade_;
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
-  std::vector<Op> ops_;
-  std::vector<TunableLanes> tunables_;
+  /// Per tunable board (cascade channel): s21 of the X axis over the vx
+  /// lane and of the Y axis over the vy lane.
+  std::vector<ComplexLanes> tx_;
+  std::vector<ComplexLanes> ty_;
   bool blend_enabled_ = false;
   StuckBlend blend_;
 };
 
 /// Reflection model over a bias plane; same dual grid/pairs shape contract
-/// as TransmissionKernel. Construction decomposes the deep bounce
-/// F^T rotated(diag(rx, ry)) F into three constant matrices weighted by the
-/// per-cell rotated-diagonal coefficients of (rx, ry), so evaluation is a
-/// closed-form expression per cell — no cascade loop at all.
+/// as TransmissionKernel. Evaluation is ReflectionCascade's closed-form
+/// expression per cell — no cascade loop at all.
 class ReflectionKernel {
  public:
   ReflectionKernel(const metasurface::RotatorStack& stack,
@@ -119,23 +285,16 @@ class ReflectionKernel {
   void eval_cells(std::size_t rx_offset, std::size_t ry_offset, std::size_t n,
                   em::JonesMatrix* out) const;
 
+  ReflectionCascade cascade_;
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
-  /// Deep-bounce S11 lanes of the target board (broadcast length 1 when the
-  /// target ignores bias).
+  /// Deep-bounce S11 lanes of the target board (broadcast of the cascade's
+  /// 0 V solve when the target ignores bias) and, when the first board is
+  /// tunable, its S11 lanes for the front-face term.
   ComplexLanes rx_;
   ComplexLanes ry_;
-  bool target_uses_bias_ = false;
-  double c2_ = 1.0, s2_ = 0.0, cs_ = 0.0;  ///< target rotation coefficients
-  /// kDeepPathWeight * F^T E_k F for E_k in {E00, E01+E10, E11}.
-  em::JonesMatrix wga_, wgb_, wgd_;
-  /// Front-face specular term: constant when the first board is static,
-  /// otherwise rebuilt per cell from these S11 lanes.
-  bool front_uses_bias_ = false;
-  em::JonesMatrix gamma_front_;
   ComplexLanes r0x_;
   ComplexLanes r0y_;
-  double fc2_ = 1.0, fs2_ = 0.0, fcs_ = 0.0;  ///< front rotation coefficients
   bool blend_enabled_ = false;
   StuckBlend blend_;
 };

@@ -80,6 +80,8 @@ struct FacePlan {
   [[nodiscard]] microwave::Complex admittance(
       double omega, common::Voltage bias,
       const microwave::Varactor& varactor) const;
+
+  friend bool operator==(const FacePlan&, const FacePlan&) = default;
 };
 
 /// Per-axis precomputation: both face plans plus the slab's ABCD matrix
@@ -89,6 +91,8 @@ struct BoardAxisPlan {
   FacePlan front;
   FacePlan back;
   microwave::Abcd slab;
+
+  friend bool operator==(const BoardAxisPlan&, const BoardAxisPlan&) = default;
 };
 
 /// Everything about a board that depends only on frequency.

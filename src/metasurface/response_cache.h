@@ -26,23 +26,25 @@ struct ResponseCacheConfig {
   double voltage_quantum_v = 1e-3;
   /// Maximum number of cached responses; least-recently-used entries are
   /// evicted beyond this. 2^16 entries ~= 5 MB, enough for a 255x255 grid.
+  /// Unused by deploy::SharedResponseEngine, which reads only the quantum
+  /// (its lattice planes never evict).
   std::size_t capacity = 1 << 16;
 };
 
-/// Snapshot of the cache's counters. The live counters are relaxed atomics
-/// (see stats()), so a snapshot is safe to take from any thread at any time
-/// — including while other threads are inside the two-lock grid path of
-/// deploy::SharedResponseEngine — without tearing and without serializing
-/// on the cache lock. Counters are monotone between clear() calls; a
+/// Snapshot of a response memo's counters, reported by ResponseCache and by
+/// deploy::SharedResponseEngine (see its cache_stats() for what a hit and a
+/// miss mean there). The live counters are relaxed atomics, so a snapshot
+/// is safe to take from any thread at any time without tearing and without
+/// serializing on a lock. Counters are monotone between clear() calls; a
 /// snapshot racing concurrent lookups sees some valid intermediate state.
 struct ResponseCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// Contended acquisitions of the locks guarding the shared registry/memo
-  /// (deploy::CountedMutex tallies; 0 for a privately owned cache). A
-  /// rising rate under fan-out says the two-lock window pattern is getting
-  /// crowded — the signal to shard the memo, batch wider, or both.
+  /// Contended acquisitions of the shared engine's fill lock
+  /// (deploy::CountedMutex tally; 0 for a privately owned cache). A rising
+  /// rate under fan-out says concurrent lookups keep finding unfilled
+  /// blocks.
   std::uint64_t lock_contention = 0;
 };
 

@@ -84,6 +84,8 @@ class Abcd {
   /// Chain rule: (this) followed by (next), wave passes this first.
   friend Abcd operator*(const Abcd& first, const Abcd& second);
 
+  friend bool operator==(const Abcd&, const Abcd&) = default;
+
  private:
   Complex a_{1.0, 0.0};
   Complex b_{0.0, 0.0};

@@ -53,6 +53,9 @@ class Varactor {
   /// [0, 30] V. Used by tests and by the controller's calibration path.
   [[nodiscard]] common::Voltage bias_for_capacitance(double c_farad) const;
 
+  /// Same diode parameters (so the same C(V) and impedance everywhere).
+  friend bool operator==(const Varactor&, const Varactor&) = default;
+
  private:
   double cj0_;
   double vj_;

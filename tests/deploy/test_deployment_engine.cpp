@@ -72,7 +72,9 @@ TEST(SharedResponseEngine, GridMatchesPointwiseAndFillsCache) {
   }
   const metasurface::ResponseCacheStats stats = engine.cache_stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(engine.cache_size(), vxs.size() * vys.size());
+  // cache_size() counts filled 64-quantum lattice blocks: X blocks
+  // {0, 117, 234, 468} and Y blocks {0, 156, 468} at the 1 mV quantum.
+  EXPECT_EQ(engine.cache_size(), 4u + 3u);
 }
 
 TEST(SharedResponseEngine, ClearDropsPlansCacheAndStats) {

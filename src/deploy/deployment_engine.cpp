@@ -134,8 +134,7 @@ SharedResponseEngine::AxisPlane& SharedResponseEngine::plane(
       mode == metasurface::SurfaceMode::kTransmissive
           ? kernel::TransmissionCascade{stack_, stack_.plan_transmission(f)}
                 .cells()
-          : kernel::ReflectionCascade{stack_, stack_.plan_reflection(f)}
-                .cells(),
+          : kernel::reflection_cells(stack_, stack_.plan_reflection(f)),
       f, mode, (lattice_entries_ + kBlockQuanta - 1) / kBlockQuanta);
   fresh->previous = newest_plane_.load(std::memory_order_acquire);
   AxisPlane* published = fresh.get();

@@ -6,18 +6,10 @@
 
 namespace llama::kernel {
 
-void capacitance_lane(const microwave::Varactor& varactor,
-                      std::span<const double> biases, Lane& c) {
-  c.resize(biases.size());
-  for (std::size_t i = 0; i < biases.size(); ++i)
-    c[i] = varactor.capacitance(common::Voltage{biases[i]});
-}
-
 void face_admittance_lanes(const metasurface::FacePlan& face, double omega,
-                           double series_resistance,
-                           std::span<const double> capacitance,
-                           ComplexLanes& y) {
-  const std::size_t n = capacitance.size();
+                           const microwave::Varactor& varactor,
+                           std::span<const double> biases, ComplexLanes& y) {
+  const std::size_t n = biases.size();
   if (!face.present) {
     // No pattern: zero shunt admittance, i.e. the identity two-port — the
     // composition loop can then apply both shunts unconditionally.
@@ -30,20 +22,22 @@ void face_admittance_lanes(const metasurface::FacePlan& face, double omega,
     return;
   }
   y.resize(n);
-  const double rs = series_resistance;
+  const double rs = varactor.series_resistance();
   const double zfr = face.z_fixed.real();
   const double zfi = face.z_fixed.imag();
   const double ysr = face.y_static.real();
   const double ysi = face.y_static.imag();
-  const double* cap = capacitance.data();
   double* yr = common::assume_lane_aligned(y.re.data());
   double* yi = common::assume_lane_aligned(y.im.data());
   // Mirrors FacePlan::admittance: z_c = z_fixed + (rs - j/(omega C(V))),
-  // guarded away from zero, then y = y_static + 1/z_c, with C(V) from the
-  // precomputed capacitance lane.
+  // guarded away from zero, then y = y_static + 1/z_c. capacitance() is the
+  // lone transcendental (pow) in the hot path; running it on a lane of
+  // nx (or ny) biases instead of nx*ny cells is the kernel layer's
+  // asymptotic win.
   for (std::size_t i = 0; i < n; ++i) {
+    const double c = varactor.capacitance(common::Voltage{biases[i]});
     double zr = zfr + rs;
-    double zi = zfi - 1.0 / (omega * cap[i]);
+    double zi = zfi - 1.0 / (omega * c);
     if (zr * zr + zi * zi < 1e-18) {  // |z_c| < 1e-9 guard, squared
       zr = 1e-9;
       zi = 0.0;
@@ -111,10 +105,10 @@ void compose_and_convert(const metasurface::BoardAxisPlan& axis,
 }  // namespace
 
 void axis_s_lanes(const metasurface::BoardAxisPlan& axis, double omega,
-                  double series_resistance,
-                  std::span<const double> capacitance, AxisOutput out,
+                  const microwave::Varactor& varactor,
+                  std::span<const double> biases, AxisOutput out,
                   ComplexLanes* s21, ComplexLanes* s11) {
-  const std::size_t n = capacitance.size();
+  const std::size_t n = biases.size();
   const bool want21 = out != AxisOutput::kS11;
   const bool want11 = out != AxisOutput::kS21;
   LLAMA_EXPECTS(!want21 || s21 != nullptr, "requested s21 lane present");
@@ -123,8 +117,8 @@ void axis_s_lanes(const metasurface::BoardAxisPlan& axis, double omega,
   if (want11) s11->resize(n);
   ComplexLanes yf;
   ComplexLanes yb;
-  face_admittance_lanes(axis.front, omega, series_resistance, capacitance, yf);
-  face_admittance_lanes(axis.back, omega, series_resistance, capacitance, yb);
+  face_admittance_lanes(axis.front, omega, varactor, biases, yf);
+  face_admittance_lanes(axis.back, omega, varactor, biases, yb);
   if (want21 && want11) {
     compose_and_convert<true, true>(axis, yf, yb, n, s21, s11);
   } else if (want21) {
@@ -132,11 +126,6 @@ void axis_s_lanes(const metasurface::BoardAxisPlan& axis, double omega,
   } else {
     compose_and_convert<false, true>(axis, yf, yb, n, nullptr, s11);
   }
-}
-
-bool axis_uses_bias(const metasurface::BoardAxisPlan& axis) {
-  return (axis.front.present && axis.front.dynamic) ||
-         (axis.back.present && axis.back.dynamic);
 }
 
 }  // namespace llama::kernel

@@ -20,38 +20,26 @@
 
 namespace llama::kernel {
 
-/// Junction capacitance of `varactor` at every bias in `biases` [F]: the
-/// only transcendental (pow) in the hot path. Faces and boards that share a
-/// varactor share one lane.
-void capacitance_lane(const microwave::Varactor& varactor,
-                      std::span<const double> biases, Lane& c);
-
-/// Shunt admittance of one planned face for every slot of `capacitance`
-/// (a capacitance_lane of the board's varactor; its length is the lane
-/// length). Absent faces fill y = 0 (a zero shunt is the identity two-port,
-/// so the composition kernel can stay branch-free); static faces broadcast
-/// their precomputed admittance and ignore the capacitances; dynamic faces
-/// solve the varactor branch per slot.
+/// Shunt admittance of one planned face for every bias voltage in `biases`.
+/// Absent faces fill y = 0 (a zero shunt is the identity two-port, so the
+/// composition kernel can stay branch-free); static faces broadcast their
+/// precomputed admittance; dynamic faces run the per-bias varactor solve —
+/// the only pow() in the whole hot path — once per lane slot.
 void face_admittance_lanes(const metasurface::FacePlan& face, double omega,
-                           double series_resistance,
-                           std::span<const double> capacitance,
-                           ComplexLanes& y);
+                           const microwave::Varactor& varactor,
+                           std::span<const double> biases, ComplexLanes& y);
 
 /// Which S-parameters axis_s_lanes should produce.
 enum class AxisOutput { kS21, kS11, kBoth };
 
-/// Per-axis two-port solve for a whole lane: for every slot of
-/// `capacitance` (as in face_admittance_lanes), composes
-/// shunt(front) | slab | shunt(back) symbolically and converts to
-/// S-parameters exactly as Abcd::to_sparams does (free-space z0).
-/// `s21`/`s11` are resized to the lane length; the one not requested by
-/// `out` is left untouched (and may be null).
+/// Per-axis two-port solve for a whole bias lane: for every bias in
+/// `biases`, composes shunt(front) | slab | shunt(back) symbolically and
+/// converts to S-parameters exactly as Abcd::to_sparams does (free-space
+/// z0). `s21`/`s11` are resized to the lane length; the one not requested
+/// by `out` is left untouched (and may be null).
 void axis_s_lanes(const metasurface::BoardAxisPlan& axis, double omega,
-                  double series_resistance,
-                  std::span<const double> capacitance, AxisOutput out,
+                  const microwave::Varactor& varactor,
+                  std::span<const double> biases, AxisOutput out,
                   ComplexLanes* s21, ComplexLanes* s11);
-
-/// True when either face of `axis` depends on bias (needs capacitances).
-[[nodiscard]] bool axis_uses_bias(const metasurface::BoardAxisPlan& axis);
 
 }  // namespace llama::kernel

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "src/kernel/board_kernels.h"
 
@@ -70,20 +69,11 @@ void solve_channels(std::span<const AxisChannel> channels, BiasAxis axis,
                     std::span<const double> biases,
                     std::span<ComplexLanes> lanes) {
   LLAMA_EXPECTS(lanes.size() == channels.size(), "one lane per channel");
-  // Static faces ignore the capacitance lane but take its length.
-  Lane capacitance(biases.size(), 0.0);
-  const microwave::Varactor* solved_for = nullptr;
   for (std::size_t k = 0; k < channels.size(); ++k) {
     const AxisChannel& channel = channels[k];
-    const metasurface::BoardAxisPlan& plan = channel.plan(axis);
-    if (axis_uses_bias(plan) &&
-        (solved_for == nullptr || !(*solved_for == channel.varactor))) {
-      capacitance_lane(channel.varactor, biases, capacitance);
-      solved_for = &channel.varactor;
-    }
     const bool s21 = channel.output == AxisOutput::kS21;
-    axis_s_lanes(plan, channel.omega, channel.varactor.series_resistance(),
-                 capacitance, channel.output, s21 ? &lanes[k] : nullptr,
+    axis_s_lanes(channel.plan(axis), channel.omega, channel.varactor, biases,
+                 channel.output, s21 ? &lanes[k] : nullptr,
                  s21 ? nullptr : &lanes[k]);
   }
 }
@@ -408,154 +398,93 @@ void TransmissionKernel::eval_cells(std::size_t tx_offset,
 
 // ------------------------------------------------------------------ reflection
 
-ReflectionCascade::ReflectionCascade(
+CellCascade reflection_cells(
     const metasurface::RotatorStack& stack,
     const metasurface::RotatorStack::ReflectionPlan& plan) {
   const metasurface::StackElement& target = stack.elements()[plan.target_index];
   const AxisChannel target_channel{plan.target_plan.x, plan.target_plan.y,
                                    plan.target_plan.omega,
                                    target.board.varactor(), AxisOutput::kS11};
-  target_uses_bias_ = plan.target_uses_bias;
-  if (target_uses_bias_) {
-    target_channel_ = add_channel(channels_, target_channel);
-  } else {
-    // Bias-independent target: solve once at 0 V.
-    const double zero = 0.0;
-    ComplexLanes one[1];
-    solve_channels({&target_channel, 1}, BiasAxis::kX, {&zero, 1}, one);
-    rx_fixed_ = one[0].at(0);
-    solve_channels({&target_channel, 1}, BiasAxis::kY, {&zero, 1}, one);
-    ry_fixed_ = one[0].at(0);
-  }
-  const RotationCoeffs rc = rotation_coeffs(target.rotation);
-  c2_ = rc.c2;
-  s2_ = rc.s2;
-  cs_ = rc.cs;
-  // Deep-bounce decomposition: F^T rotated(diag(rx, ry)) F
+  // Deep bounce: F^T rotated(diag(rx, ry)) F
   //   = a F^T E00 F + b F^T (E01 + E10) F + d F^T E11 F
-  // with [[a, b], [b, d]] the rotated diagonal; the three G matrices are
-  // bias-independent, so they fold with kDeepPathWeight at construction.
+  // with a = c2 rx + s2 ry, b = cs (rx - ry), d = s2 rx + c2 ry, i.e.
+  // rx (c2 G_a + cs G_b + s2 G_d) + ry (s2 G_a - cs G_b + c2 G_d), each G
+  // folded with kDeepPathWeight.
   const JonesMatrix f = plan.forward;
   const JonesMatrix ft = f.transpose();
-  const Complex zero_c{0.0, 0.0};
-  const Complex one_c{1.0, 0.0};
-  wga_ = metasurface::kDeepPathWeight *
-         (ft * JonesMatrix{one_c, zero_c, zero_c, zero_c} * f);
-  wgb_ = metasurface::kDeepPathWeight *
-         (ft * JonesMatrix{zero_c, one_c, one_c, zero_c} * f);
-  wgd_ = metasurface::kDeepPathWeight *
-         (ft * JonesMatrix{zero_c, zero_c, zero_c, one_c} * f);
+  const Complex zero{0.0, 0.0};
+  const Complex one{1.0, 0.0};
+  const JonesMatrix ga = metasurface::kDeepPathWeight *
+                         (ft * JonesMatrix{one, zero, zero, zero} * f);
+  const JonesMatrix gb = metasurface::kDeepPathWeight *
+                         (ft * JonesMatrix{zero, one, one, zero} * f);
+  const JonesMatrix gd = metasurface::kDeepPathWeight *
+                         (ft * JonesMatrix{zero, zero, zero, one} * f);
+  const RotationCoeffs rc = rotation_coeffs(target.rotation);
+  const JonesMatrix deep_x = rc.c2 * ga + rc.cs * gb + rc.s2 * gd;
+  const JonesMatrix deep_y = rc.s2 * ga + (-rc.cs) * gb + rc.c2 * gd;
 
-  front_uses_bias_ = plan.front_uses_bias;
-  if (front_uses_bias_) {
-    const metasurface::StackElement& first = stack.elements().front();
-    front_channel_ = add_channel(
-        channels_, AxisChannel{plan.front_plan.x, plan.front_plan.y,
-                    plan.front_plan.omega, first.board.varactor(),
-                    AxisOutput::kS11});
-    const RotationCoeffs fc = rotation_coeffs(first.rotation);
-    fc2_ = fc.c2;
-    fs2_ = fc.s2;
-    fcs_ = fc.cs;
-  } else {
-    gamma_front_ = plan.gamma_front;
-  }
-}
-
-CellCascade ReflectionCascade::cells() const {
-  // The cell factor K + sum_k (x_k X_k + y_k Y_k): with a = c2 rx + s2 ry,
-  // b = cs (rx - ry), d = s2 rx + c2 ry the deep bounce is
-  // rx (c2 G_a + cs G_b + s2 G_d) + ry (s2 G_a - cs G_b + c2 G_d); the
-  // front term is (r0x + r0y)/2 I + kfb (r0x - r0y)/2 D with
-  // D = [[fc2 - fs2, 2 fcs], [2 fcs, fs2 - fc2]].
-  const JonesMatrix deep_x = c2_ * wga_ + cs_ * wgb_ + s2_ * wgd_;
-  const JonesMatrix deep_y = s2_ * wga_ + (-cs_) * wgb_ + c2_ * wgd_;
+  CellCascade out;
   CellCascade::Factor factor;
   factor.has_constant = true;
-  JonesMatrix constant = front_uses_bias_ ? JonesMatrix{} : gamma_front_;
-  if (target_uses_bias_) {
+  JonesMatrix constant =
+      plan.front_uses_bias ? JonesMatrix{zero, zero, zero, zero}
+                           : plan.gamma_front;
+  if (plan.target_uses_bias) {
+    out.channels_.push_back(target_channel);
     CellCascade::Term term;
-    term.channel = target_channel_;
     split(deep_x, term.x);
     split(deep_y, term.y);
     factor.terms.push_back(term);
   } else {
-    constant = constant + rx_fixed_ * deep_x + ry_fixed_ * deep_y;
+    // Bias-independent target: solve once at 0 V.
+    const double v0 = 0.0;
+    ComplexLanes r[1];
+    solve_channels({&target_channel, 1}, BiasAxis::kX, {&v0, 1}, r);
+    const Complex rx = r[0].at(0);
+    solve_channels({&target_channel, 1}, BiasAxis::kY, {&v0, 1}, r);
+    const Complex ry = r[0].at(0);
+    constant = constant + rx * deep_x + ry * deep_y;
   }
-  if (front_uses_bias_) {
+  if (plan.front_uses_bias) {
+    // front_gamma (rotator_stack.h) collected by channel value:
+    // (r0x + r0y)/2 I + kfb (r0x - r0y)/2 D with
+    // D = [[c2 - s2, 2 cs], [2 cs, s2 - c2]], the front board (the target)
+    // rotation's coefficients.
+    LLAMA_INVARIANT(plan.target_uses_bias && plan.target_index == 0,
+                    "a tunable first board is the reflection target");
     const Complex half{0.5, 0.0};
-    const Complex diag{fc2_ - fs2_, 0.0}, off{2.0 * fcs_, 0.0};
+    const Complex diag{rc.c2 - rc.s2, 0.0}, off{2.0 * rc.cs, 0.0};
     const JonesMatrix d =
         metasurface::kFrontBirefringence * JonesMatrix{diag, off, off, -diag};
     CellCascade::Term term;
-    term.channel = front_channel_;
     split(half * (JonesMatrix::identity() + d), term.x);
     split(half * (JonesMatrix::identity() + (-1.0) * d), term.y);
     factor.terms.push_back(term);
   }
   split(constant, factor.constant);
-  CellCascade out;
-  out.channels_ = channels_;
   out.factors_.push_back(factor);
   return out;
-}
-
-JonesMatrix ReflectionCascade::cell(Complex rx, Complex ry, Complex r0x,
-                                    Complex r0y) const {
-  const double xr = rx.real(), xi = rx.imag();
-  const double yr = ry.real(), yi = ry.imag();
-  // Rotated diag(rx, ry) coefficients of the deep bounce.
-  const Complex a{c2_ * xr + s2_ * yr, c2_ * xi + s2_ * yi};
-  const Complex b{cs_ * (xr - yr), cs_ * (xi - yi)};
-  const Complex d{s2_ * xr + c2_ * yr, s2_ * xi + c2_ * yi};
-  Complex gf00, gf01, gf10, gf11;
-  if (front_uses_bias_) {
-    // front_gamma (rotator_stack.h) in decomposed per-cell form.
-    const Complex rm = 0.5 * (r0x + r0y);
-    const Complex p = r0x - rm;
-    const Complex q = r0y - rm;
-    const Complex kfb = metasurface::kFrontBirefringence;
-    gf00 = rm + kfb * (fc2_ * p + fs2_ * q);
-    gf01 = kfb * (fcs_ * (p - q));
-    gf10 = gf01;
-    gf11 = rm + kfb * (fs2_ * p + fc2_ * q);
-  } else {
-    gf00 = gamma_front_.at(0, 0);
-    gf01 = gamma_front_.at(0, 1);
-    gf10 = gamma_front_.at(1, 0);
-    gf11 = gamma_front_.at(1, 1);
-  }
-  return JonesMatrix{
-      gf00 + a * wga_.at(0, 0) + b * wgb_.at(0, 0) + d * wgd_.at(0, 0),
-      gf01 + a * wga_.at(0, 1) + b * wgb_.at(0, 1) + d * wgd_.at(0, 1),
-      gf10 + a * wga_.at(1, 0) + b * wgb_.at(1, 0) + d * wgd_.at(1, 0),
-      gf11 + a * wga_.at(1, 1) + b * wgb_.at(1, 1) + d * wgd_.at(1, 1)};
 }
 
 ReflectionKernel::ReflectionKernel(
     const metasurface::RotatorStack& stack,
     const metasurface::RotatorStack::ReflectionPlan& plan,
     std::span<const double> vx, std::span<const double> vy)
-    : cascade_(stack, plan), nx_(vx.size()), ny_(vy.size()) {
-  const std::vector<AxisChannel>& channels = cascade_.channels();
-  std::vector<ComplexLanes> x_lanes(channels.size());
-  std::vector<ComplexLanes> y_lanes(channels.size());
-  solve_channels(channels, BiasAxis::kX, vx, x_lanes);
-  solve_channels(channels, BiasAxis::kY, vy, y_lanes);
-  // The front lanes first: they may be the target's, which then move.
-  if (cascade_.front_uses_bias_) {
-    r0x_ = x_lanes[cascade_.front_channel_];
-    r0y_ = y_lanes[cascade_.front_channel_];
-  }
-  if (cascade_.target_uses_bias_) {
-    rx_ = std::move(x_lanes[cascade_.target_channel_]);
-    ry_ = std::move(y_lanes[cascade_.target_channel_]);
-  } else {
-    // Broadcast the 0 V solve, so the evaluation loops can index lanes
-    // uniformly.
-    rx_.fill(nx_, cascade_.rx_fixed_);
-    ry_.fill(ny_, cascade_.ry_fixed_);
-  }
+    : cells_(reflection_cells(stack, plan)), nx_(vx.size()), ny_(vy.size()) {
+  const std::size_t width = 2 * cells_.channels().size();
+  const std::size_t terms = cells_.terms_size();
+  const auto halves = [&](BiasAxis axis, std::span<const double> biases,
+                          std::vector<double>& out) {
+    std::vector<double> entries(width * biases.size());
+    solve_axis_entries(cells_.channels(), axis, biases, entries.data());
+    out.resize(terms * biases.size());
+    for (std::size_t i = 0; i < biases.size(); ++i)
+      cells_.axis_terms(axis, entries.data() + i * width,
+                        out.data() + i * terms);
+  };
+  halves(BiasAxis::kX, vx, x_terms_);
+  halves(BiasAxis::kY, vy, y_terms_);
 }
 
 void ReflectionKernel::set_blend(const StuckBlend& blend) {
@@ -566,7 +495,7 @@ void ReflectionKernel::set_blend(const StuckBlend& blend) {
 void ReflectionKernel::eval_grid_row(std::size_t iy,
                                      em::JonesMatrix* out) const {
   LLAMA_EXPECTS(iy < ny_, "row index inside the vy lane");
-  eval_cells<0>(/*rx_offset=*/0, /*ry_offset=*/iy, nx_, out);
+  eval_cells<0>(/*x_offset=*/0, /*y_offset=*/iy, nx_, out);
 }
 
 void ReflectionKernel::eval_pairs(std::size_t begin, std::size_t end,
@@ -576,25 +505,14 @@ void ReflectionKernel::eval_pairs(std::size_t begin, std::size_t end,
   eval_cells<1>(begin, begin, end - begin, out);
 }
 
-template <int RyStride>
-void ReflectionKernel::eval_cells(std::size_t rx_offset, std::size_t ry_offset,
+template <int YStride>
+void ReflectionKernel::eval_cells(std::size_t x_offset, std::size_t y_offset,
                                   std::size_t n, em::JonesMatrix* out) const {
-  const bool front = cascade_.front_uses_bias_;
-  const double* rxr = rx_.re.data() + rx_offset;
-  const double* rxi = rx_.im.data() + rx_offset;
-  const double* ryr = ry_.re.data() + ry_offset;
-  const double* ryi = ry_.im.data() + ry_offset;
-  const double* x0r = front ? r0x_.re.data() + rx_offset : nullptr;
-  const double* x0i = front ? r0x_.im.data() + rx_offset : nullptr;
-  const double* y0r = front ? r0y_.re.data() + ry_offset : nullptr;
-  const double* y0i = front ? r0y_.im.data() + ry_offset : nullptr;
+  const std::size_t terms = cells_.terms_size();
   for (std::size_t i = 0; i < n; ++i) {
-    const Complex r0x = front ? Complex{x0r[i], x0i[i]} : Complex{};
-    const Complex r0y = front ? Complex{y0r[i * RyStride], y0i[i * RyStride]}
-                              : Complex{};
-    JonesMatrix cell = cascade_.cell(
-        Complex{rxr[i], rxi[i]},
-        Complex{ryr[i * RyStride], ryi[i * RyStride]}, r0x, r0y);
+    JonesMatrix cell = cells_.combine(
+        x_terms_.data() + (x_offset + i) * terms,
+        y_terms_.data() + (y_offset + i * YStride) * terms);
     if (blend_enabled_) {
       cell = blend_.keep * cell + blend_.frac * blend_.stuck;
     }

@@ -9,13 +9,14 @@
 // cascade: every run of consecutive static boards and air gaps folded into
 // a single constant Jones matrix.
 //
-// TransmissionCascade / ReflectionCascade hold the bias-independent half.
-// Two evaluators share it:
-//  - TransmissionKernel / ReflectionKernel solve the channels as whole
-//    lanes and cascade 2x2 complex multiplies over split re/im lanes
-//    (src/kernel/lanes.h), which the compiler auto-vectorizes;
-//  - CellCascade evaluates one cell from per-axis S-parameters solved
-//    elsewhere (deploy::SharedResponseEngine keeps them on a bias lattice).
+// TransmissionCascade holds the bias-independent half of a transmission
+// plan. TransmissionKernel solves its channels as whole lanes and cascades
+// 2x2 complex multiplies over split re/im lanes (src/kernel/lanes.h), which
+// the compiler auto-vectorizes. CellCascade evaluates one cell from per-axis
+// S-parameters solved elsewhere: deploy::SharedResponseEngine keeps them on
+// a bias lattice for both modes, and ReflectionKernel evaluates every
+// reflection plane through reflection_cells(), so reflection has one kernel
+// model.
 //
 // Contract with the scalar golden reference: the kernels and cascades may
 // reassociate (constant folding, naive complex division), so results agree
@@ -65,10 +66,8 @@ struct AxisChannel {
   friend bool operator==(const AxisChannel&, const AxisChannel&) = default;
 };
 
-/// Solves channels[k] on `axis` for every bias into lanes[k]. Channels with
-/// an equal varactor share one capacitance lane, so the pow() runs once per
-/// bias per distinct varactor; each slot is a pure function of its own
-/// bias.
+/// Solves channels[k] on `axis` for every bias into lanes[k]; each slot is
+/// a pure function of its own bias.
 void solve_channels(std::span<const AxisChannel> channels, BiasAxis axis,
                     std::span<const double> biases,
                     std::span<ComplexLanes> lanes);
@@ -110,7 +109,9 @@ class CellCascade {
 
  private:
   friend class TransmissionCascade;
-  friend class ReflectionCascade;
+  friend CellCascade reflection_cells(
+      const metasurface::RotatorStack& stack,
+      const metasurface::RotatorStack::ReflectionPlan& plan);
 
   /// Channel `channel`'s coefficient matrices X_fk and Y_fk (re then im).
   struct Term {
@@ -173,51 +174,15 @@ class TransmissionCascade {
   std::vector<AxisChannel> channels_;
 };
 
-/// The bias-independent half of a reflection plan: the deep bounce
-/// F^T rotated(diag(rx, ry)) F decomposed into three constant matrices
-/// weighted by the per-cell rotated-diagonal coefficients of (rx, ry), plus
-/// the front-face specular term. Channels, in order: the target board's S11
-/// when it depends on bias, then the front board's S11 when it does.
-class ReflectionCascade {
- public:
-  ReflectionCascade(const metasurface::RotatorStack& stack,
-                    const metasurface::RotatorStack::ReflectionPlan& plan);
-
-  /// The target's and the front board's channels (one when they are the
-  /// same board).
-  [[nodiscard]] const std::vector<AxisChannel>& channels() const {
-    return channels_;
-  }
-
-  /// The same model as a CellCascade, built on each call: both the deep
-  /// bounce and the front term are linear in the channel values, so it is
-  /// one factor K + x·X + y·Y.
-  [[nodiscard]] CellCascade cells() const;
-
- private:
-  friend class ReflectionKernel;
-
-  /// Closed-form cell: (rx, ry) the target's S11, (r0x, r0y) the front
-  /// board's (read only when front_uses_bias_).
-  [[nodiscard]] em::JonesMatrix cell(em::Complex rx, em::Complex ry,
-                                     em::Complex r0x, em::Complex r0y) const;
-
-  std::vector<AxisChannel> channels_;
-  bool target_uses_bias_ = false;
-  std::size_t target_channel_ = 0;  ///< when target_uses_bias_
-  std::size_t front_channel_ = 0;   ///< when front_uses_bias_
-  /// Target S11 solved once at 0 V when the target ignores bias.
-  em::Complex rx_fixed_;
-  em::Complex ry_fixed_;
-  double c2_ = 1.0, s2_ = 0.0, cs_ = 0.0;  ///< target rotation coefficients
-  /// kDeepPathWeight * F^T E_k F for E_k in {E00, E01+E10, E11}.
-  em::JonesMatrix wga_, wgb_, wgd_;
-  /// Front-face specular term: constant when the first board is static,
-  /// otherwise rebuilt per cell from the front channel.
-  bool front_uses_bias_ = false;
-  em::JonesMatrix gamma_front_;
-  double fc2_ = 1.0, fs2_ = 0.0, fcs_ = 0.0;  ///< front rotation coefficients
-};
+/// The reflection model of a plan as a CellCascade of one factor
+/// K + x·X + y·Y: the deep bounce F^T rotated(diag(rx, ry)) F and the
+/// front-face specular term are both linear in the boards' S11. Channels:
+/// the target board's S11 when it depends on bias, none otherwise. A
+/// tunable first board is always the target (the first tunable element), so
+/// the front term then reads the same channel.
+[[nodiscard]] CellCascade reflection_cells(
+    const metasurface::RotatorStack& stack,
+    const metasurface::RotatorStack::ReflectionPlan& plan);
 
 /// Transmission cascade over a bias plane. The same instance serves both
 /// plane shapes:
@@ -263,8 +228,9 @@ class TransmissionKernel {
 };
 
 /// Reflection model over a bias plane; same dual grid/pairs shape contract
-/// as TransmissionKernel. Evaluation is ReflectionCascade's closed-form
-/// expression per cell — no cascade loop at all.
+/// as TransmissionKernel. The constructor solves the channels and keeps
+/// reflection_cells()' X half per vx and Y half per vy, so a cell is one
+/// CellCascade::combine: the arithmetic of SharedResponseEngine's lookups.
 class ReflectionKernel {
  public:
   ReflectionKernel(const metasurface::RotatorStack& stack,
@@ -281,20 +247,17 @@ class ReflectionKernel {
                   em::JonesMatrix* out) const;
 
  private:
-  template <int LaneStride>
-  void eval_cells(std::size_t rx_offset, std::size_t ry_offset, std::size_t n,
+  template <int YStride>
+  void eval_cells(std::size_t x_offset, std::size_t y_offset, std::size_t n,
                   em::JonesMatrix* out) const;
 
-  ReflectionCascade cascade_;
+  CellCascade cells_;
   std::size_t nx_ = 0;
   std::size_t ny_ = 0;
-  /// Deep-bounce S11 lanes of the target board (broadcast of the cascade's
-  /// 0 V solve when the target ignores bias) and, when the first board is
-  /// tunable, its S11 lanes for the front-face term.
-  ComplexLanes rx_;
-  ComplexLanes ry_;
-  ComplexLanes r0x_;
-  ComplexLanes r0y_;
+  /// cells_.terms_size() doubles per bias: the X half at each vx, the Y
+  /// half at each vy.
+  std::vector<double> x_terms_;
+  std::vector<double> y_terms_;
   bool blend_enabled_ = false;
   StuckBlend blend_;
 };

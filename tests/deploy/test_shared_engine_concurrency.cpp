@@ -1,9 +1,9 @@
-// Regression for the ResponseCache statistics under concurrency: the
+// Regression for SharedResponseEngine's statistics under concurrency: the
 // counters are relaxed atomics, so (a) a monitor may poll cache_stats()
-// while device shards are inside SharedResponseEngine's two-lock grid path
-// without tearing or serializing, and (b) no increment is ever lost — after
-// the dust settles, hits + misses equals the exact number of lookups
-// issued, for any interleaving.
+// while device shards read published lattice blocks lock-free and fill
+// missing ones under the fill mutex, without tearing or serializing, and
+// (b) no increment is ever lost — after the dust settles, hits + misses
+// equals the exact number of lookups issued, for any interleaving.
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -30,8 +30,9 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
   constexpr int kGridWindows = 8;
   const std::vector<double> window{0.0, 10.0, 20.0, 30.0};
 
-  // Point-probe workers cycle a small key set (first pass misses, the rest
-  // hit); grid workers issue whole windows through the two-lock path.
+  // Point-probe workers cycle a few biases (lookups that find a block
+  // unfilled miss and fill it, the rest hit); grid workers issue whole
+  // windows.
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < kPointThreads; ++t)
@@ -71,8 +72,8 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
   done.store(true);
   monitor.join();
 
-  // Every lookup counted exactly once: one find() per point probe, one per
-  // grid cell in the window's first pass.
+  // Every lookup counted exactly once: one per point probe, one per grid
+  // cell.
   const std::uint64_t expected_lookups =
       static_cast<std::uint64_t>(kPointThreads) * kPointLookups +
       static_cast<std::uint64_t>(kGridThreads) * kGridWindows *
@@ -81,7 +82,7 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
   EXPECT_EQ(s.hits + s.misses, expected_lookups);
   EXPECT_GT(s.hits, 0u);
   EXPECT_GT(s.misses, 0u);
-  EXPECT_EQ(s.evictions, 0u);  // capacity far exceeds the key set
+  EXPECT_EQ(s.evictions, 0u);  // the engine never evicts
 }
 
 }  // namespace

@@ -44,16 +44,39 @@ struct Design {
   Frequency f;
 };
 
+/// The shipped designs, then stacks built from the prototype's boards: a
+/// BFS board alone, a rotated BFS board in front of the static boards, and
+/// the static boards alone. With a tunable first board the front-face
+/// specular term depends on bias, and that board is also the deep-bounce
+/// target (the first tunable element), so both reflection terms read it.
 std::vector<Design> all_designs() {
-  return {{"prototype_fr4", metasurface::prototype_fr4_design(),
-           Frequency::ghz(2.44)},
-          {"optimized_fr4", metasurface::optimized_fr4_design(),
-           Frequency::ghz(2.41)},
-          {"reference_rogers", metasurface::reference_rogers_design(),
-           Frequency::ghz(2.46)},
-          {"naive_fr4", metasurface::naive_fr4_design(), Frequency::ghz(2.44)},
-          {"rfid_900mhz", metasurface::rfid_900mhz_design(),
-           Frequency::ghz(0.915)}};
+  std::vector<Design> designs{
+      {"prototype_fr4", metasurface::prototype_fr4_design(),
+       Frequency::ghz(2.44)},
+      {"optimized_fr4", metasurface::optimized_fr4_design(),
+       Frequency::ghz(2.41)},
+      {"reference_rogers", metasurface::reference_rogers_design(),
+       Frequency::ghz(2.46)},
+      {"naive_fr4", metasurface::naive_fr4_design(), Frequency::ghz(2.44)},
+      {"rfid_900mhz", metasurface::rfid_900mhz_design(),
+       Frequency::ghz(0.915)}};
+  const metasurface::RotatorStack prototype =
+      metasurface::prototype_fr4_design();
+  std::vector<metasurface::StackElement> tunable;
+  std::vector<metasurface::StackElement> fixed;
+  for (const metasurface::StackElement& e : prototype.elements())
+    (e.tunable ? tunable : fixed).push_back(e);
+  std::vector<metasurface::StackElement> alone{tunable.front()};
+  alone.back().gap_after_m = 0.0;
+  std::vector<metasurface::StackElement> in_front{tunable.front()};
+  in_front.back().rotation = common::Angle::degrees(20.0);
+  in_front.insert(in_front.end(), fixed.begin(), fixed.end());
+  const Frequency f = Frequency::ghz(2.44);
+  designs.push_back({"bfs_alone", metasurface::RotatorStack{alone}, f});
+  designs.push_back(
+      {"rotated_bfs_before_qwps", metasurface::RotatorStack{in_front}, f});
+  designs.push_back({"static_qwps", metasurface::RotatorStack{fixed}, f});
+  return designs;
 }
 
 /// Biases covering the rails, interior points and out-of-range requests.

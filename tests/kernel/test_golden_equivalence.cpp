@@ -47,6 +47,23 @@ std::vector<NamedDesign> all_designs() {
   designs.push_back({"optimized_fr4", metasurface::optimized_fr4_design(), 2.44});
   designs.push_back({"prototype_fr4", metasurface::prototype_fr4_design(), 2.44});
   designs.push_back({"rfid_900mhz", metasurface::rfid_900mhz_design(), 0.915});
+  // Stacks built from the prototype's boards: a BFS board alone, a rotated
+  // BFS board in front of the static boards, and the static boards alone.
+  // With a tunable first board the front-face specular term depends on
+  // bias, and that board is also the deep-bounce target.
+  const RotatorStack prototype = metasurface::prototype_fr4_design();
+  std::vector<metasurface::StackElement> tunable;
+  std::vector<metasurface::StackElement> fixed;
+  for (const metasurface::StackElement& e : prototype.elements())
+    (e.tunable ? tunable : fixed).push_back(e);
+  std::vector<metasurface::StackElement> alone{tunable.front()};
+  alone.back().gap_after_m = 0.0;
+  std::vector<metasurface::StackElement> in_front{tunable.front()};
+  in_front.back().rotation = common::Angle::degrees(20.0);
+  in_front.insert(in_front.end(), fixed.begin(), fixed.end());
+  designs.push_back({"bfs_alone", RotatorStack{alone}, 2.44});
+  designs.push_back({"rotated_bfs_before_qwps", RotatorStack{in_front}, 2.44});
+  designs.push_back({"static_qwps", RotatorStack{fixed}, 2.44});
   return designs;
 }
 

@@ -1,17 +1,19 @@
 // Microbenchmarks of the simulation hot paths, before and after the batched
 // response engine: the direct per-probe cascade, the planned (per-frequency
-// precomputed) path, the memoized response cache, and the batched grid
-// evaluators. Run with --json for machine-readable output (see
-// bench_harness.h); CI tracks these lines as the perf trajectory.
+// precomputed) path, the shared response engine (alone and bound to a
+// surface), and the batched grid evaluators. Run with --json for
+// machine-readable output (see bench_harness.h); CI tracks these lines as
+// the perf trajectory.
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_harness.h"
 #include "src/core/scenarios.h"
-#include "src/deploy/deployment_engine.h"
 #include "src/em/jones.h"
 #include "src/metasurface/designs.h"
 #include "src/metasurface/metasurface.h"
+#include "src/metasurface/response_engine.h"
 
 using namespace llama;
 
@@ -87,12 +89,18 @@ int main(int argc, char** argv) {
   }
 
   {
+    // A surface bound to a response engine, re-reading one bias pair: two
+    // published lattice entries plus one cell cascade per response.
     metasurface::Metasurface surface = metasurface::Metasurface::llama_prototype();
-    surface.enable_response_cache();
+    surface.share_response_engine(
+        std::make_shared<metasurface::SharedResponseEngine>(surface.stack()));
     surface.set_bias(common::Voltage{12.0}, common::Voltage{7.0});
-    bench::print_result(bench::run_bench("metasurface_response_cache_hit", [&] {
-      consume(surface.response(f0, metasurface::SurfaceMode::kTransmissive));
-    }), json);
+    bench::print_result(
+        bench::run_bench("metasurface_response_engine_warm", [&] {
+          consume(
+              surface.response(f0, metasurface::SurfaceMode::kTransmissive));
+        }),
+        json);
   }
 
   const std::vector<double> axis = one_volt_axis();
@@ -149,9 +157,12 @@ int main(int argc, char** argv) {
     // every lookup at a different programming). Warm: every lattice block
     // already solved, so a lookup is two entry loads plus one kernel
     // cascade. Cold: the first lookup on an empty engine, which builds the
-    // (frequency, mode) plane and solves one block per axis. Both report
-    // speedup_vs_scalar_planned against the scalar planned cell; CI gates
-    // the warm ratio.
+    // (frequency, mode) plane and solves one block per axis. Stuck: a
+    // surface bound to the warm engine with a stuck-cell fault, whose every
+    // response blends two engine lookups (commanded and stuck bias); the
+    // unshared path paid at least one scalar planned cell per response for
+    // the stuck sub-aperture. All three report speedup_vs_scalar_planned
+    // against the scalar planned cell; CI gates the warm and stuck ratios.
     const metasurface::RotatorStack pstack =
         metasurface::prototype_fr4_design();
     const auto plan = pstack.plan_transmission(f0);
@@ -172,7 +183,9 @@ int main(int argc, char** argv) {
         });
     bench::print_result(scalar, json);
 
-    deploy::SharedResponseEngine engine{pstack};
+    const auto shared =
+        std::make_shared<metasurface::SharedResponseEngine>(pstack);
+    metasurface::SharedResponseEngine& engine = *shared;
     std::vector<double> lattice;
     for (int i = 0; i <= 30000; i += 16) lattice.push_back(i * 1e-3);
     (void)engine.response_grid(f0, mode, lattice, {0.0});  // every x block
@@ -187,6 +200,20 @@ int main(int argc, char** argv) {
     std::snprintf(extra, sizeof extra, ",\"speedup_vs_scalar_planned\":%.2f",
                   scalar.ns_per_op / warm.ns_per_op);
     bench::print_result(warm, json, extra);
+
+    metasurface::Metasurface faulted{pstack};
+    faulted.share_response_engine(shared);
+    faulted.set_stuck_cells(metasurface::StuckCellFault{
+        0.25, common::Voltage{3.3}, common::Voltage{17.1}});
+    const bench::BenchResult stuck =
+        bench::run_bench("metasurface_response_stuck", [&] {
+          step();
+          faulted.set_bias(common::Voltage{vx}, common::Voltage{vy});
+          consume(faulted.response(f0, mode));
+        });
+    std::snprintf(extra, sizeof extra, ",\"speedup_vs_scalar_planned\":%.2f",
+                  scalar.ns_per_op / stuck.ns_per_op);
+    bench::print_result(stuck, json, extra);
 
     const bench::BenchResult cold =
         bench::run_bench("shared_engine_point_cold", [&] {

@@ -1,12 +1,15 @@
 #include "src/core/llama_system.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/codebook/codebook.h"
 #include "src/codebook/compiler.h"
 #include "src/common/math_utils.h"
+#include "src/metasurface/response_engine.h"
 
 namespace llama::core {
 
@@ -142,8 +145,12 @@ control::BatchPowerProbe LlamaSystem::make_batch_probe(int threads) {
   };
 }
 
-void LlamaSystem::enable_fast_probes(metasurface::ResponseCacheConfig config) {
-  surface_.enable_response_cache(config);
+void LlamaSystem::enable_fast_probes(
+    std::shared_ptr<metasurface::SharedResponseEngine> engine) {
+  if (!engine)
+    engine =
+        std::make_shared<metasurface::SharedResponseEngine>(surface_.stack());
+  surface_.share_response_engine(std::move(engine));
 }
 
 control::OptimizationReport LlamaSystem::optimize_link() {

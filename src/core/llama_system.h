@@ -7,9 +7,15 @@
 //   auto system = core::LlamaSystem(core::SystemConfig{...});
 //   auto report = system.optimize_link();   // runs paper Algorithm 1
 //   auto gain = system.improvement();       // dB over the no-surface link
+//
+// Point probes evaluate the surface on its direct golden path until
+// enable_fast_probes binds it to a metasurface::SharedResponseEngine;
+// track::FleetTracker hands every device plant the same engine, so lattice
+// blocks one device fills serve all of them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -227,11 +233,16 @@ class LlamaSystem {
   /// as make_grid_probe).
   [[nodiscard]] control::BatchPowerProbe make_batch_probe(int threads = 0);
 
-  /// Opt-in: memoizes the surface's response() so sequential searches (hill
-  /// climbing, annealing, tracking re-optimizations) stop re-cascading the
-  /// stack on revisited bias cells. See ResponseCacheConfig for the
-  /// quantization contract.
-  void enable_fast_probes(metasurface::ResponseCacheConfig config = {});
+  /// Opt-in: binds the surface to a shared response engine, so point probes
+  /// of sequential searches (hill climbing, annealing, tracking
+  /// re-optimizations) become lattice lookups instead of stack cascades.
+  /// Pass a fleet's engine to share its filled lattice blocks across every
+  /// device plant; null builds a private engine for the surface's own
+  /// stack. Throws std::invalid_argument when the engine was built for a
+  /// different stack design. See ResponseCacheConfig for the lattice
+  /// quantum.
+  void enable_fast_probes(
+      std::shared_ptr<metasurface::SharedResponseEngine> engine = nullptr);
 
  private:
   /// Channel power plus one draw of the environment's bursty interference.

@@ -240,8 +240,8 @@ CityScaleScenario city_scale_scenario(std::size_t m_surfaces,
   // the sector orientation. A deployed fleet runs matched, not random,
   // rails; random rails would leave some sectors cross-polarized with
   // near-null serving power, where any dB-domain comparison diverges.
-  deploy::SharedResponseEngine rails{metasurface::prototype_fr4_design(),
-                                     s.config.cache};
+  metasurface::SharedResponseEngine rails{
+      metasurface::prototype_fr4_design(), s.config.cache};
   std::vector<em::JonesMatrix> grid;
   std::vector<deploy::SurfaceBias> grid_biases;
   for (double vx = 0.0; vx <= 30.0; vx += 3.0)

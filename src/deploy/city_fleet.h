@@ -114,7 +114,9 @@ class CityFleetEngine {
                        std::span<const std::size_t> retuned,
                        const std::vector<SurfaceBias>& biases);
 
-  [[nodiscard]] SharedResponseEngine& response_engine() { return engine_; }
+  [[nodiscard]] metasurface::SharedResponseEngine& response_engine() {
+    return engine_;
+  }
 
  private:
   /// One device's link plant. The scene's surface ids are compact
@@ -149,7 +151,7 @@ class CityFleetEngine {
 
   DeploymentConfig config_;
   channel::SpatialSurfaceIndex index_;
-  SharedResponseEngine engine_;
+  metasurface::SharedResponseEngine engine_;
   std::vector<DeviceState> devices_;
   /// Device indices grouped by the serving surface's cell ordinal —
   /// the shard plan (one entry per index cell, possibly empty).

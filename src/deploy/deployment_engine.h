@@ -2,40 +2,17 @@
 // one controller time-shares bias states across M metasurfaces serving N
 // IoT devices.
 //
-// Two pieces:
-//
-//  - SharedResponseEngine: the Jones response of one stack design at any
-//    (frequency, mode, bias pair), shared by every link of a deployment.
-//    It keeps one axis plane per (frequency, mode). A bias-dependent
-//    board's X response depends only on Vx and its Y response only on Vy,
-//    so the plane holds every such board's per-axis S-parameters on two
-//    1-D bias lattices, index i = llround(clamp(v, 0, 30 V) / q) (default
-//    q = 1 mV, the ResponseCache quantization contract). The kernel layer
-//    solves lattice entries (kernel::solve_axis_entries) in fixed blocks of
-//    kBlockQuanta on first touch, and evaluates a cell from one X entry and
-//    one Y entry (kernel::CellCascade).
-//
-//  - DeploymentEngine: shards the per-device Algorithm-1 optimizations over
-//    common::parallel_for, then feeds each surface's per-device optima into
-//    PolarizationScheduler and reports aggregate spectral efficiency
-//    (channel::capacity) and BER (channel::ber) under the schedule.
-//
-// Thread-safety / determinism contract: a block is filled once, under the
-// engine's one mutex, then published with a release store; lookups read
-// published blocks with acquire loads and take no lock. A block always
-// covers the same index range and every entry is a pure function of its
-// own lattice bias, so an entry's value does not depend on which thread
-// filled its block or in what order blocks were filled. Point and grid
-// lookups run the same per-cell arithmetic, so a grid cell equals the
-// pointwise lookup bit for bit, and the engine's results are
-// byte-identical for any thread count — only the hit/miss split varies.
+// DeploymentEngine shards the per-device Algorithm-1 optimizations over
+// common::parallel_for, then feeds each surface's per-device optima into
+// PolarizationScheduler and reports aggregate spectral efficiency
+// (channel::capacity) and BER (channel::ber) under the schedule. Every
+// link's response comes from one metasurface::SharedResponseEngine (see
+// src/metasurface/response_engine.h for its lattice planes and its
+// thread-safety contract), so results are byte-identical for any thread
+// count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,6 +23,7 @@
 #include "src/control/scheduler.h"
 #include "src/control/sweep.h"
 #include "src/metasurface/metasurface.h"
+#include "src/metasurface/response_engine.h"
 #include "src/radio/transceiver.h"
 
 namespace llama::codebook {
@@ -53,121 +31,6 @@ class Codebook;
 }  // namespace llama::codebook
 
 namespace llama::deploy {
-
-/// std::mutex with a contention tally: a lock() that cannot acquire
-/// immediately counts one contended acquisition before blocking. The tally
-/// is a monotone stats counter read through snapshots (never a
-/// synchronization input), so relaxed ordering is exactly right — the lock
-/// itself provides every happens-before edge the protected state needs.
-/// Satisfies Lockable, so std::lock_guard/std::unique_lock work unchanged.
-class CountedMutex {
- public:
-  void lock() {
-    if (mutex_.try_lock()) return;
-    // llama-lint: allow(relaxed-atomic) monotone stats tally, not ordering
-    contended_.fetch_add(1, std::memory_order_relaxed);
-    mutex_.lock();
-  }
-  void unlock() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() { return mutex_.try_lock(); }
-
-  /// Contended acquisitions since construction / the last reset().
-  [[nodiscard]] std::uint64_t contended() const {
-    // llama-lint: allow(relaxed-atomic) racy snapshot of a stats counter
-    return contended_.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    // llama-lint: allow(relaxed-atomic) stats counter zeroing, no ordering
-    contended_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::mutex mutex_;
-  std::atomic<std::uint64_t> contended_{0};
-};
-
-/// Thread-safe shared response engine for one stack design, on lazily
-/// solved per-axis lattice planes (see the file comment). All M surfaces of
-/// a deployment are the same fabricated hardware, so one engine serves
-/// every link regardless of which surface carries it.
-class SharedResponseEngine {
- public:
-  /// Lattice entries solved per block fill.
-  static constexpr std::size_t kBlockQuanta = 64;
-  /// Largest lattice (entries per axis) the engine accepts.
-  static constexpr std::size_t kMaxLatticeEntries = std::size_t{1} << 25;
-
-  /// Only `cache.voltage_quantum_v` is read; `capacity` does not apply (the
-  /// planes never evict). Throws std::invalid_argument when the quantum is
-  /// non-finite or <= 0, or when the 0-30 V lattice would exceed
-  /// kMaxLatticeEntries entries.
-  explicit SharedResponseEngine(metasurface::RotatorStack stack,
-                                metasurface::ResponseCacheConfig cache = {});
-  ~SharedResponseEngine();
-  SharedResponseEngine(const SharedResponseEngine&) = delete;
-  SharedResponseEngine& operator=(const SharedResponseEngine&) = delete;
-
-  /// Response at a bias pair, each rail clamped to the 0-30 V supply range
-  /// (so +-inf clamp to the rails) and snapped to the lattice. Safe to call
-  /// from many threads; the returned matrix is a pure function of
-  /// (frequency, lattice bias, mode). Throws std::invalid_argument on a NaN
-  /// frequency or bias.
-  [[nodiscard]] em::JonesMatrix response(common::Frequency f,
-                                         metasurface::SurfaceMode mode,
-                                         common::Voltage vx,
-                                         common::Voltage vy);
-
-  /// Batched variant over a whole bias window: grid[iy][ix] is the response
-  /// at (vxs[ix], vys[iy]), bit-identical to pointwise response() calls. All
-  /// of the window's missing blocks are filled under one lock acquisition.
-  [[nodiscard]] metasurface::JonesGrid response_grid(
-      common::Frequency f, metasurface::SurfaceMode mode,
-      const std::vector<double>& vxs, const std::vector<double>& vys);
-
-  /// Number of distinct (frequency, mode) axis planes built so far.
-  [[nodiscard]] std::size_t plan_count() const;
-  /// Lookup counters. Each point lookup or grid cell counts exactly one hit
-  /// or one miss; a miss is a lookup that found one of its blocks unfilled
-  /// and took the fill lock. evictions is always 0. lock_contention counts
-  /// contended acquisitions of the fill mutex. Lock-free: safe to poll from
-  /// a monitor while device shards are filling blocks.
-  [[nodiscard]] metasurface::ResponseCacheStats cache_stats() const;
-  /// Number of filled lattice blocks, over every plane and both axes.
-  [[nodiscard]] std::size_t cache_size() const;
-  /// Drops every plane and zeroes the statistics. Must not run concurrently
-  /// with lookups: they read published blocks without a lock.
-  void clear();
-
-  [[nodiscard]] const metasurface::RotatorStack& stack() const {
-    return stack_;
-  }
-
- private:
-  struct AxisPlane;
-
-  /// Lattice index of a bias (throws on NaN).
-  [[nodiscard]] std::size_t lattice_index(common::Voltage v) const;
-  /// The plane for (f, mode): a lock-free scan of the published planes,
-  /// building one under the fill mutex on first use.
-  [[nodiscard]] AxisPlane& plane(common::Frequency f,
-                                 metasurface::SurfaceMode mode);
-  /// Entry `index` of `axis`, solving its block if still unfilled. Caller
-  /// holds fill_mutex_.
-  const double* fill(AxisPlane& plane, std::size_t axis, std::size_t index);
-  void count(std::uint64_t hits, std::uint64_t misses);
-
-  const metasurface::RotatorStack stack_;
-  const double quantum_v_;
-  const std::size_t lattice_entries_;
-  /// Guards plane creation, block fills, planes_ and filled_blocks_.
-  mutable CountedMutex fill_mutex_;
-  std::vector<std::unique_ptr<AxisPlane>> planes_;
-  /// Newest published plane; planes link to their predecessor.
-  std::atomic<AxisPlane*> newest_plane_{nullptr};
-  std::size_t filled_blocks_ = 0;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
 
 /// Surface serving the device at roster position `index`: the spec's
 /// explicit surface when set (>= 0), else round-robin by index. The caller
@@ -347,7 +210,9 @@ class DeploymentEngine {
       const std::vector<DeviceSpec>& devices, const std::string& path);
 
   [[nodiscard]] const DeploymentConfig& config() const { return config_; }
-  [[nodiscard]] SharedResponseEngine& response_engine() { return engine_; }
+  [[nodiscard]] metasurface::SharedResponseEngine& response_engine() {
+    return engine_;
+  }
 
  private:
   /// Shared argument validation for run()/run_codebook().
@@ -360,7 +225,7 @@ class DeploymentEngine {
                        DeploymentReport& report);
 
   DeploymentConfig config_;
-  SharedResponseEngine engine_;
+  metasurface::SharedResponseEngine engine_;
   /// Expected-power measurement model only (no RNG state is consumed).
   radio::Receiver receiver_;
 };

@@ -13,10 +13,10 @@
 // plan. TransmissionKernel solves its channels as whole lanes and cascades
 // 2x2 complex multiplies over split re/im lanes (src/kernel/lanes.h), which
 // the compiler auto-vectorizes. CellCascade evaluates one cell from per-axis
-// S-parameters solved elsewhere: deploy::SharedResponseEngine keeps them on
-// a bias lattice for both modes, and ReflectionKernel evaluates every
-// reflection plane through reflection_cells(), so reflection has one kernel
-// model.
+// S-parameters solved elsewhere: metasurface::SharedResponseEngine keeps
+// them on a bias lattice for both modes, and ReflectionKernel evaluates
+// every reflection plane through reflection_cells(), so reflection has one
+// kernel model.
 //
 // Contract with the scalar golden reference: the kernels and cascades may
 // reassociate (constant folding, naive complex division), so results agree
@@ -79,7 +79,8 @@ void solve_axis_entries(std::span<const AxisChannel> channels, BiasAxis axis,
                         std::span<const double> biases, double* out);
 
 /// A plan's response at one cell from per-axis S-parameters solved
-/// elsewhere (deploy::SharedResponseEngine keeps them on a bias lattice).
+/// elsewhere (metasurface::SharedResponseEngine keeps them on a bias
+/// lattice).
 /// The plan's folded constants are multiplied into a cascade of factors,
 /// each affine in the channel values:
 ///   J = F_m ... F_1,   F_f = K_f + sum_k (x_k X_fk + y_k Y_fk).

@@ -53,12 +53,16 @@ struct FacePattern {
   [[nodiscard]] microwave::Complex admittance(
       common::Frequency f, common::Voltage bias,
       const microwave::Varactor& varactor, double substrate_tan_d) const;
+
+  friend bool operator==(const FacePattern&, const FacePattern&) = default;
 };
 
 /// Per-axis description: the patterns on the front and back face.
 struct AxisPatterns {
   FacePattern front;
   FacePattern back;
+
+  friend bool operator==(const AxisPatterns&, const AxisPatterns&) = default;
 };
 
 /// Precomputed frequency-dependent state of one face. For a fixed pattern
@@ -159,6 +163,9 @@ class Board {
   [[nodiscard]] em::JonesMatrix jones_transmission(
       const BoardFrequencyPlan& plan, common::Voltage vx,
       common::Voltage vy) const;
+
+  /// Design equality: same name, substrate, thickness, patterns, varactor.
+  friend bool operator==(const Board&, const Board&) = default;
 
  private:
   std::string name_;

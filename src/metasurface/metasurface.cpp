@@ -8,36 +8,12 @@
 #include "src/common/math_utils.h"
 #include "src/common/parallel.h"
 #include "src/kernel/jones_kernels.h"
+#include "src/metasurface/response_engine.h"
 
 namespace llama::metasurface {
 
 Metasurface::Metasurface(RotatorStack stack, LatticeSpec spec)
     : stack_(std::move(stack)), spec_(spec) {}
-
-Metasurface::Metasurface(const Metasurface& other)
-    : stack_(other.stack_),
-      spec_(other.spec_),
-      vx_(other.vx_),
-      vy_(other.vy_),
-      stuck_(other.stuck_) {
-  if (other.cache_)
-    cache_ = std::make_unique<ResponseCache>(other.cache_->config());
-}
-
-Metasurface& Metasurface::operator=(const Metasurface& other) {
-  if (this == &other) return *this;
-  stack_ = other.stack_;
-  spec_ = other.spec_;
-  vx_ = other.vx_;
-  vy_ = other.vy_;
-  stuck_ = other.stuck_;
-  cache_ = other.cache_
-               ? std::make_unique<ResponseCache>(other.cache_->config())
-               : nullptr;
-  transmission_plan_.reset();
-  reflection_plan_.reset();
-  return *this;
-}
 
 Metasurface Metasurface::llama_prototype() {
   return Metasurface{prototype_fr4_design()};
@@ -60,15 +36,12 @@ void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
   stuck_ = fault;
 }
 
-void Metasurface::enable_response_cache(ResponseCacheConfig config) {
-  cache_ = std::make_unique<ResponseCache>(config);
-}
-
-void Metasurface::disable_response_cache() { cache_.reset(); }
-
-std::optional<ResponseCacheStats> Metasurface::response_cache_stats() const {
-  if (!cache_) return std::nullopt;
-  return cache_->stats();
+void Metasurface::share_response_engine(
+    std::shared_ptr<SharedResponseEngine> engine) {
+  if (engine && !(engine->stack() == stack_))
+    throw std::invalid_argument{
+        "Metasurface: response engine built for a different stack design"};
+  engine_ = std::move(engine);
 }
 
 const RotatorStack::TransmissionPlan& Metasurface::acquire_transmission_plan(
@@ -85,51 +58,25 @@ const RotatorStack::ReflectionPlan& Metasurface::acquire_reflection_plan(
   return reflection_plan_->second;
 }
 
-em::JonesMatrix Metasurface::planned_response(common::Frequency f,
-                                              SurfaceMode mode,
-                                              common::Voltage vx,
-                                              common::Voltage vy) const {
-  if (mode == SurfaceMode::kTransmissive)
-    return stack_.transmission(acquire_transmission_plan(f), vx, vy);
-  return stack_.reflection(acquire_reflection_plan(f), vx, vy);
+em::JonesMatrix Metasurface::response_at(common::Frequency f,
+                                         SurfaceMode mode, common::Voltage vx,
+                                         common::Voltage vy) const {
+  if (engine_) return engine_->response(f, mode, vx, vy);
+  return mode == SurfaceMode::kTransmissive ? stack_.transmission(f, vx, vy)
+                                            : stack_.reflection(f, vx, vy);
 }
 
 em::JonesMatrix Metasurface::response(common::Frequency f,
                                       SurfaceMode mode) const {
-  const em::JonesMatrix healthy = healthy_response(f, mode);
+  const em::JonesMatrix healthy = response_at(f, mode, vx_, vy_);
   if (!stuck_) return healthy;
   // Coherent sub-aperture mixture: the stuck fraction keeps radiating at
-  // its frozen bias. Mixing happens outside the cache, which memoizes only
-  // the pure healthy responses.
+  // its frozen bias.
   LLAMA_INVARIANT(stuck_->fraction > 0.0 && stuck_->fraction <= 1.0,
                   "set_stuck_cells admits only fractions in (0, 1]");
-  const em::JonesMatrix stuck =
-      planned_response(f, mode, stuck_->vx, stuck_->vy);
+  const em::JonesMatrix stuck = response_at(f, mode, stuck_->vx, stuck_->vy);
   return em::Complex{1.0 - stuck_->fraction, 0.0} * healthy +
          em::Complex{stuck_->fraction, 0.0} * stuck;
-}
-
-em::JonesMatrix Metasurface::healthy_response(common::Frequency f,
-                                              SurfaceMode mode) const {
-  if (cache_) {
-    // Cached path: evaluate at the quantized bias so every cache cell is a
-    // pure function of its key (see the contract in response_cache.h).
-    const common::Voltage vxq = cache_->quantize(vx_);
-    const common::Voltage vyq = cache_->quantize(vy_);
-    const ResponseCache::Key key =
-        cache_->make_key(f, vxq, vyq, static_cast<int>(mode));
-    if (auto hit = cache_->find(key)) return *hit;
-    const em::JonesMatrix j = planned_response(f, mode, vxq, vyq);
-    cache_->insert(key, j);
-    return j;
-  }
-  switch (mode) {
-    case SurfaceMode::kTransmissive:
-      return stack_.transmission(f, vx_, vy_);
-    case SurfaceMode::kReflective:
-      return stack_.reflection(f, vx_, vy_);
-  }
-  return em::JonesMatrix::identity();
 }
 
 namespace {
@@ -148,8 +95,8 @@ std::vector<double> clamp_bias_lane(const std::vector<double>& values) {
 constexpr std::size_t kPairChunk = 256;
 
 /// Lane-space degraded blend from a stuck-cell fault. `stuck` is the stuck
-/// sub-aperture's response — a single scalar planned evaluation (the golden
-/// path); only the per-cell mixing happens inside the kernels.
+/// sub-aperture's response (Metasurface::response_at); only the per-cell
+/// mixing happens inside the kernels.
 kernel::StuckBlend make_stuck_blend(const StuckCellFault& fault,
                                     const em::JonesMatrix& stuck) {
   kernel::StuckBlend blend;
@@ -170,12 +117,10 @@ JonesGrid Metasurface::response_grid(common::Frequency f, SurfaceMode mode,
   if (vx_values.empty() || vy_values.empty()) return grid;
   const std::vector<double> vxs = clamp_bias_lane(vx_values);
   const std::vector<double> vys = clamp_bias_lane(vy_values);
-  // Evaluate the stuck response before handing out plan references: it may
-  // (re)build the memoized plan slot for this (f, mode).
   std::optional<kernel::StuckBlend> blend;
   if (stuck_)
-    blend = make_stuck_blend(
-        *stuck_, planned_response(f, mode, stuck_->vx, stuck_->vy));
+    blend = make_stuck_blend(*stuck_,
+                             response_at(f, mode, stuck_->vx, stuck_->vy));
   if (mode == SurfaceMode::kTransmissive) {
     // Plan acquired ONCE per (f, mode); the kernel factors it into SoA
     // lanes at construction and the sharded loop below only reads both by
@@ -218,8 +163,8 @@ std::vector<em::JonesMatrix> Metasurface::response_batch(
   }
   std::optional<kernel::StuckBlend> blend;
   if (stuck_)
-    blend = make_stuck_blend(
-        *stuck_, planned_response(f, mode, stuck_->vx, stuck_->vy));
+    blend = make_stuck_blend(*stuck_,
+                             response_at(f, mode, stuck_->vx, stuck_->vy));
   const std::size_t chunks = (points.size() + kPairChunk - 1) / kPairChunk;
   if (mode == SurfaceMode::kTransmissive) {
     const RotatorStack::TransmissionPlan& plan = acquire_transmission_plan(f);

@@ -1,6 +1,12 @@
 // The deployed metasurface: a lattice of rotator unit cells plus the
 // physical bookkeeping the paper reports (Section 4): aperture size, unit
 // count, varactor count, leakage current and bill-of-materials cost.
+//
+// A surface answers response queries on the direct golden path (the scalar
+// cascade of RotatorStack) unless it is bound to a SharedResponseEngine
+// (src/metasurface/response_engine.h): then its point responses are engine
+// lookups on the 1 mV bias lattice, shared with every other surface bound
+// to the same engine (every device plant of a tracked fleet).
 #pragma once
 
 #include <cstddef>
@@ -12,10 +18,11 @@
 #include "src/common/units.h"
 #include "src/em/jones.h"
 #include "src/metasurface/designs.h"
-#include "src/metasurface/response_cache.h"
 #include "src/metasurface/rotator_stack.h"
 
 namespace llama::metasurface {
+
+class SharedResponseEngine;
 
 /// Operating mode: wave passes through the surface, or bounces off it.
 enum class SurfaceMode { kTransmissive, kReflective };
@@ -64,17 +71,10 @@ using BiasList = std::vector<std::pair<common::Voltage, common::Voltage>>;
 ///
 /// The two bias voltages (Vx, Vy) are the only control inputs — matching the
 /// paper's prototype, where all unit cells share the two DC bias rails.
+/// Copies share the bound response engine, if any.
 class Metasurface {
  public:
   explicit Metasurface(RotatorStack stack, LatticeSpec spec = {});
-
-  // The cached per-frequency plans and the response cache are rebuilt lazily
-  // and never shared, so copies start cold but behave identically.
-  Metasurface(const Metasurface& other);
-  Metasurface& operator=(const Metasurface& other);
-  Metasurface(Metasurface&&) noexcept = default;
-  Metasurface& operator=(Metasurface&&) noexcept = default;
-  ~Metasurface() = default;
 
   /// Convenience: LLAMA's fabricated design.
   [[nodiscard]] static Metasurface llama_prototype();
@@ -90,32 +90,30 @@ class Metasurface {
   /// Jones matrix applied to a wave traversing (or reflecting off) the
   /// surface at frequency f under the current bias.
   ///
-  /// With the response cache enabled (opt-in, see enable_response_cache) the
-  /// bias pair is quantized per the cache's contract, the memo is consulted,
-  /// and misses are computed through the per-frequency plans; without it the
-  /// original direct path runs, untouched. Not thread-safe while caching.
+  /// Bound to a response engine (see share_response_engine) this is an
+  /// engine lookup at the lattice bias; unbound, the direct golden path
+  /// runs. The stuck sub-aperture of a stuck-cell fault follows the same
+  /// rule. Not thread-safe (the per-frequency plan slots are mutable).
   [[nodiscard]] em::JonesMatrix response(common::Frequency f,
                                          SurfaceMode mode) const;
 
-  /// Opt-in memoization of response(). Existing call sites keep their exact
-  /// semantics when this is never called. Re-enabling replaces the cache.
-  void enable_response_cache(ResponseCacheConfig config = {});
-  void disable_response_cache();
-  [[nodiscard]] bool response_cache_enabled() const {
-    return cache_ != nullptr;
+  /// Binds a shared response engine, or unbinds with nullptr (restoring
+  /// the direct path). Throws std::invalid_argument when the engine was
+  /// built for a different stack design than this surface's.
+  void share_response_engine(std::shared_ptr<SharedResponseEngine> engine);
+  /// The bound engine; null when unbound.
+  [[nodiscard]] const std::shared_ptr<SharedResponseEngine>& response_engine()
+      const {
+    return engine_;
   }
-  /// Snapshot of the hit/miss/eviction counters; nullopt when the cache is
-  /// disabled. A snapshot, not a reference: the live counters are atomics
-  /// that keep counting after this returns.
-  [[nodiscard]] std::optional<ResponseCacheStats> response_cache_stats() const;
 
   /// Injects / clears a stuck-cell fault. The aggregate response of every
   /// query (response, response_grid, response_batch) becomes
   /// (1 - fraction) * response(commanded) + fraction * response(stuck) —
-  /// the cache keeps memoizing only the pure healthy responses, so enabling
-  /// a fault never poisons it. Throws std::invalid_argument when the
-  /// fraction is non-finite or outside (0, 1]; the stuck bias pair is
-  /// clamped to the supply range like set_bias.
+  /// a bound engine holds only the pure responses, so a fault never
+  /// poisons it. Throws std::invalid_argument when the fraction is
+  /// non-finite or outside (0, 1]; the stuck bias pair is clamped to the
+  /// supply range like set_bias.
   void set_stuck_cells(std::optional<StuckCellFault> fault);
   [[nodiscard]] const std::optional<StuckCellFault>& stuck_cells() const {
     return stuck_;
@@ -133,9 +131,10 @@ class Metasurface {
   /// kernels reassociate relative to the scalar golden path, so bit-equality
   /// with response() is NOT promised (ResponseGrid.MatchesPointwiseResponses
   /// and the randomized suite in tests/kernel assert the bound). Does not
-  /// touch the current bias or the response cache. A stuck-cell fault mixes
-  /// into every cell in lane space, so batched sweeps see the same degraded
-  /// plane pointwise probes do.
+  /// touch the current bias; the healthy cells never read a bound engine.
+  /// A stuck-cell fault mixes into every cell in lane space (its stuck
+  /// response taken like response() takes it), so batched sweeps see the
+  /// same degraded plane pointwise probes do.
   [[nodiscard]] JonesGrid response_grid(common::Frequency f, SurfaceMode mode,
                                         const std::vector<double>& vx_values,
                                         const std::vector<double>& vy_values,
@@ -162,17 +161,12 @@ class Metasurface {
   [[nodiscard]] CostBreakdown cost() const;
 
  private:
-  /// Planned response at an explicit (already clamped/quantized) bias pair,
-  /// reusing the per-(frequency, mode) plan slots.
-  [[nodiscard]] em::JonesMatrix planned_response(common::Frequency f,
-                                                SurfaceMode mode,
-                                                common::Voltage vx,
-                                                common::Voltage vy) const;
-
-  /// Healthy (no-fault) response at the given bias, cache-aware — the body
-  /// of response() before fault mixing.
-  [[nodiscard]] em::JonesMatrix healthy_response(common::Frequency f,
-                                                 SurfaceMode mode) const;
+  /// Response at an explicit bias pair: an engine lookup when bound, the
+  /// direct golden path otherwise.
+  [[nodiscard]] em::JonesMatrix response_at(common::Frequency f,
+                                            SurfaceMode mode,
+                                            common::Voltage vx,
+                                            common::Voltage vy) const;
 
   /// Acquire (building only when the memoized frequency differs) the
   /// per-frequency plan. Hoisted out of the batched loops: response_grid /
@@ -189,9 +183,8 @@ class Metasurface {
   common::Voltage vx_{0.0};
   common::Voltage vy_{0.0};
   std::optional<StuckCellFault> stuck_;
-  /// Opt-in memo for response(); mutable because caching is invisible to
-  /// callers of the const query API.
-  mutable std::unique_ptr<ResponseCache> cache_;
+  /// Shared response store for point responses; null = direct path.
+  std::shared_ptr<SharedResponseEngine> engine_;
   /// Most-recent per-frequency plans, keyed by frequency in Hz.
   mutable std::optional<std::pair<double, RotatorStack::TransmissionPlan>>
       transmission_plan_;

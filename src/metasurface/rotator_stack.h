@@ -32,6 +32,8 @@ struct StackElement {
   common::Angle rotation;     ///< physical rotation of the board's axes
   double gap_after_m = 0.0;   ///< air spacing to the next element
   bool tunable = false;       ///< biased by the (Vx, Vy) control pair
+
+  friend bool operator==(const StackElement&, const StackElement&) = default;
 };
 
 /// Layered polarization rotator driven by two bias voltages.
@@ -134,6 +136,9 @@ class RotatorStack {
   /// Total board thickness plus gaps [m] (the paper's prototype is 5 mm of
   /// PCB in a 480x480 mm aperture).
   [[nodiscard]] double total_thickness_m() const;
+
+  /// Design equality: element by element, every field compared exactly.
+  friend bool operator==(const RotatorStack&, const RotatorStack&) = default;
 
  private:
   std::vector<StackElement> elements_;

@@ -48,6 +48,8 @@ class Substrate {
   /// scalar view of why layer thickness must shrink on FR4.
   [[nodiscard]] double attenuation_db_per_mm(common::Frequency f) const;
 
+  friend bool operator==(const Substrate&, const Substrate&) = default;
+
  private:
   std::string name_;
   double epsilon_r_;

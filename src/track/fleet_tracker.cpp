@@ -11,13 +11,14 @@
 #include "src/common/parallel.h"
 #include "src/core/scenarios.h"
 #include "src/fault/fault_injector.h"
+#include "src/metasurface/response_engine.h"
 
 namespace llama::track {
 
 namespace {
 
-/// One device's whole plant: every shard owns its own copies so the
-/// fan-out shares no mutable state.
+/// One device's whole plant: every shard owns its own copies, so the
+/// fan-out shares nothing but the thread-safe response engine.
 struct Shard {
   std::unique_ptr<core::LlamaSystem> system;
   std::unique_ptr<channel::OrientationProcess> process;
@@ -26,11 +27,12 @@ struct Shard {
   std::size_t surface = 0;
 };
 
-Shard make_shard(const FleetConfig& config, const FleetDeviceSpec& spec,
-                 std::size_t index,
-                 std::optional<std::size_t> serving = std::nullopt,
-                 const std::optional<channel::LinkGeometry>& geometry =
-                     std::nullopt) {
+Shard make_shard(
+    const FleetConfig& config,
+    const std::shared_ptr<metasurface::SharedResponseEngine>& engine,
+    const FleetDeviceSpec& spec, std::size_t index,
+    std::optional<std::size_t> serving = std::nullopt,
+    const std::optional<channel::LinkGeometry>& geometry = std::nullopt) {
   Shard shard;
   core::SystemConfig cfg = core::device_system_config(
       config.deployment, common::Angle::degrees(0.0));
@@ -38,9 +40,10 @@ Shard make_shard(const FleetConfig& config, const FleetDeviceSpec& spec,
   // geometry (the layout decided it, deterministically, before the fan-out).
   if (geometry) cfg.geometry = *geometry;
   shard.system = std::make_unique<core::LlamaSystem>(std::move(cfg));
-  // Tracking revisits quantized biases constantly (codebook hits, the
-  // re-sweep's coarse window); the memo keeps per-tick probes cheap.
-  shard.system->enable_fast_probes(config.deployment.cache);
+  // Tracking revisits lattice biases constantly (codebook hits, the
+  // re-sweep's coarse window); the fleet's engine keeps per-tick probes
+  // cheap and shares every filled block across plants.
+  shard.system->enable_fast_probes(engine);
   shard.process = spec.process();
   shard.surface = serving ? *serving
                           : deploy::assigned_surface(
@@ -53,7 +56,10 @@ Shard make_shard(const FleetConfig& config, const FleetDeviceSpec& spec,
 
 }  // namespace
 
-FleetTracker::FleetTracker(FleetConfig config) : config_(std::move(config)) {
+FleetTracker::FleetTracker(FleetConfig config)
+    : config_(std::move(config)),
+      engine_(std::make_shared<metasurface::SharedResponseEngine>(
+          metasurface::prototype_fr4_design(), config_.deployment.cache)) {
   if (config_.deployment.n_surfaces == 0)
     throw std::invalid_argument{"FleetTracker: need >= 1 surface"};
   if (config_.loop.dt_s <= 0.0)
@@ -107,7 +113,8 @@ void FleetTracker::run_independent(const std::vector<FleetDeviceSpec>& devices,
         cells.size(), config_.deployment.threads, [&](std::size_t c) {
           for (std::size_t i : cells[c]) {
             Shard shard =
-                make_shard(config_, devices[i], i, serving[i], geometry[i]);
+                make_shard(config_, engine_, devices[i], i, serving[i],
+                           geometry[i]);
             const std::unique_ptr<RetunePolicy> policy = make_policy();
             TrackingLoop loop{*shard.system, *shard.process, *policy,
                               config_.loop};
@@ -126,7 +133,7 @@ void FleetTracker::run_independent(const std::vector<FleetDeviceSpec>& devices,
   // deterministic for any thread count.
   common::parallel_for(
       devices.size(), config_.deployment.threads, [&](std::size_t i) {
-        Shard shard = make_shard(config_, devices[i], i);
+        Shard shard = make_shard(config_, engine_, devices[i], i);
         const std::unique_ptr<RetunePolicy> policy = make_policy();
         TrackingLoop loop{*shard.system, *shard.process, *policy,
                           config_.loop};
@@ -150,7 +157,7 @@ void FleetTracker::run_lockstep(const std::vector<FleetDeviceSpec>& devices,
   std::vector<Shard> shards;
   shards.reserve(devices.size());
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    Shard shard = make_shard(config_, devices[i], i);
+    Shard shard = make_shard(config_, engine_, devices[i], i);
     shard.policy = make_policy();
     shard.loop = std::make_unique<TrackingLoop>(*shard.system, *shard.process,
                                                 *shard.policy, config_.loop);
@@ -158,11 +165,11 @@ void FleetTracker::run_lockstep(const std::vector<FleetDeviceSpec>& devices,
     shards.push_back(std::move(shard));
   }
 
-  // Every deployment surface is the same fabricated stack; one cached
-  // evaluator serves the snapshot responses.
+  // Every deployment surface is the same fabricated stack; the fleet's
+  // engine serves the snapshot responses.
   metasurface::Metasurface snapshot_surface =
       metasurface::Metasurface::llama_prototype();
-  snapshot_surface.enable_response_cache(config_.deployment.cache);
+  snapshot_surface.share_response_engine(engine_);
 
   // What each surface aired at the previous tick's end; nullopt until its
   // first tick (cold surfaces are absent from neighbors' scenes). The
@@ -230,7 +237,7 @@ void FleetTracker::run_faulted(const std::vector<FleetDeviceSpec>& devices,
   std::vector<std::size_t> current;  // serving surface, may drift from home
   current.reserve(devices.size());
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    Shard shard = make_shard(config_, devices[i], i);
+    Shard shard = make_shard(config_, engine_, devices[i], i);
     shard.policy = make_policy();
     shard.loop = std::make_unique<TrackingLoop>(*shard.system, *shard.process,
                                                 *shard.policy, config_.loop);

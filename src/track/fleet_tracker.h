@@ -3,9 +3,12 @@
 //
 // Each device shard stands up its own LlamaSystem (from the deployment's
 // shared link parameters via core::device_system_config), orientation
-// process, and policy instance, so shards share no mutable state; combined
-// with the loops' deterministic expected-power measurement model, a fleet
-// run is byte-identical for any thread count — the same contract as
+// process, and policy instance. The only state shards share is the
+// tracker's metasurface::SharedResponseEngine, bound to every plant's
+// surface: a thread-safe store of pure lattice responses, kept across
+// run() calls so repeated episodes start warm. Combined with the loops'
+// deterministic expected-power measurement model, a fleet run is
+// byte-identical for any thread count — the same contract as
 // deploy::DeploymentEngine and the codebook compiler. Devices are assigned
 // to surfaces by deploy::assigned_surface (explicit index or round-robin),
 // and per-surface aggregates expose which surface's supply is saturated by
@@ -108,6 +111,8 @@ struct FleetReport {
 
 class FleetTracker {
  public:
+  /// Builds the fleet's response engine for the prototype stack at
+  /// config.deployment.cache (no plane or block work: it fills lazily).
   /// Throws std::invalid_argument when the deployment has no surfaces or a
   /// non-positive loop tick.
   explicit FleetTracker(FleetConfig config);
@@ -140,6 +145,10 @@ class FleetTracker {
                                 const PolicyFactory& make_policy, long ticks);
 
   [[nodiscard]] const FleetConfig& config() const { return config_; }
+  /// The response engine every device plant and snapshot surface shares.
+  [[nodiscard]] metasurface::SharedResponseEngine& response_engine() {
+    return *engine_;
+  }
 
  private:
   /// Independent per-device shards (no cross-surface coupling).
@@ -161,6 +170,7 @@ class FleetTracker {
                    FleetReport& report) const;
 
   FleetConfig config_;
+  std::shared_ptr<metasurface::SharedResponseEngine> engine_;
 };
 
 }  // namespace llama::track

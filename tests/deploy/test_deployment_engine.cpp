@@ -1,5 +1,5 @@
-// Deployment-engine correctness: the shared plan registry + cache must
-// reproduce the per-surface response engine exactly, device shards must be
+// Deployment-engine correctness: the shared response engine must reproduce
+// a surface bound to its own private engine exactly, device shards must be
 // byte-identical for any thread count, and the engine must agree with the
 // pre-engine per-device LlamaSystem path at the same measurement model.
 #include "src/deploy/deployment_engine.h"
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "src/core/scenarios.h"
 #include "src/metasurface/designs.h"
@@ -18,9 +19,8 @@ using common::Frequency;
 using common::PowerDbm;
 using common::Voltage;
 using em::JonesMatrix;
+using metasurface::SharedResponseEngine;
 using metasurface::SurfaceMode;
-
-constexpr double kTol = 1e-12;
 
 void expect_jones_near(const JonesMatrix& a, const JonesMatrix& b, double tol,
                        const std::string& what) {
@@ -36,15 +36,19 @@ void expect_jones_near(const JonesMatrix& a, const JonesMatrix& b, double tol,
 TEST(SharedResponseEngine, MatchesPrivateCachedMetasurface) {
   SharedResponseEngine engine{metasurface::prototype_fr4_design()};
   metasurface::Metasurface reference = metasurface::Metasurface::llama_prototype();
-  reference.enable_response_cache();  // same default quantization contract
+  // A private engine on the same default lattice.
+  reference.share_response_engine(
+      std::make_shared<SharedResponseEngine>(reference.stack()));
   const Frequency f = Frequency::ghz(2.44);
   for (auto mode : {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
     for (double vx : {0.0, 7.25, 13.5, 30.0}) {
       for (double vy : {0.0, 4.5, 21.0, 30.0}) {
         reference.set_bias(Voltage{vx}, Voltage{vy});
+        // Lattice entries are pure functions of their bias: two engines
+        // agree bit for bit.
         expect_jones_near(reference.response(f, mode),
                           engine.response(f, mode, Voltage{vx}, Voltage{vy}),
-                          kTol, "shared vs private cache");
+                          0.0, "shared vs private engine");
       }
     }
   }

@@ -4,8 +4,10 @@
 // bench_fault_resilience CI gate at test scale.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "src/codebook/compiler.h"
 #include "src/core/scenarios.h"
@@ -20,6 +22,58 @@ codebook::Codebook drill_codebook(const core::FaultDrillScenario& scenario) {
                                         scenario.config.deployment,
                                         common::Angle::degrees(0.0))}
       .compile();
+}
+
+/// Every deterministic field of a fleet report, per-tick traces included,
+/// with doubles printed exactly (hexfloat): equal strings mean
+/// byte-identical reports.
+std::string fingerprint(const track::FleetReport& r) {
+  std::string s;
+  char buf[64];
+  const auto add = [&](double v) {
+    std::snprintf(buf, sizeof buf, "%a,", v);
+    s += buf;
+  };
+  const auto add_count = [&](long v) { s += std::to_string(v) + ","; };
+  for (const track::DeviceTrackResult& d : r.devices) {
+    s += d.name + ":" + std::to_string(d.surface) + ":" +
+         std::to_string(d.home_surface) + ":";
+    const track::TrackReport& t = d.report;
+    for (const double v :
+         {t.duration_s, t.outage_fraction, t.retune_airtime_s,
+          t.mean_retune_latency_s, t.mean_power_dbm, t.min_power_dbm,
+          t.mean_delivered_mbps})
+      add(v);
+    add_count(t.ticks);
+    add_count(t.retune_count);
+    add_count(t.dropped_measurements);
+    for (const track::TrackTrace& tick : t.trace) {
+      add(tick.power.value());
+      add(tick.retune_airtime_s);
+      add(tick.duty);
+      add(tick.delivered_mbps);
+      add_count(tick.probes);
+      add_count(tick.retuned ? 1 : 0);
+    }
+    s += ";";
+  }
+  for (const track::SurfaceTrackSummary& sr : r.surfaces) {
+    add(sr.mean_outage_fraction);
+    add(sr.retune_airtime_s);
+    add(sr.sum_delivered_mbps);
+    add_count(sr.retune_count);
+  }
+  for (const double v : {r.mean_outage_fraction, r.retune_airtime_s,
+                         r.mean_retune_latency_s, r.sum_delivered_mbps})
+    add(v);
+  for (const long v : {r.retune_count, r.dropped_measurements,
+                       r.reassignments, r.health_transitions})
+    add_count(v);
+  for (const SurfaceHealth h : r.surface_health) {
+    s += to_string(h);
+    s += ",";
+  }
+  return s;
 }
 
 TEST(ResilientPolicy, ValidatesOptionsAndBindOrder) {
@@ -140,6 +194,54 @@ TEST(FaultDrill, FaultedFleetIsByteIdenticalForAnyThreadCount) {
   EXPECT_EQ(a.reassignments, b.reassignments);
   EXPECT_EQ(a.health_transitions, b.health_transitions);
   EXPECT_EQ(a.surface_health, b.surface_health);
+}
+
+TEST(FaultDrill, FaultedDrillIsByteIdenticalAtOneTwoFourThreads) {
+  // The device plants share the tracker's response engine; which shard
+  // fills a lattice block first must not change a byte of the report.
+  const core::FaultDrillScenario scenario = core::fault_drill_scenario(8, 2);
+  const codebook::Codebook book = drill_codebook(scenario);
+  ResilientPolicy::Options opts;
+  opts.lookup.threads = 1;
+  const track::PolicyFactory factory = [&] {
+    return std::make_unique<ResilientPolicy>(book, opts);
+  };
+  std::string reference;
+  for (const int threads : {1, 2, 4}) {
+    track::FleetConfig config = scenario.config;
+    config.deployment.threads = threads;
+    const std::string fp = fingerprint(track::FleetTracker{config}.run(
+        scenario.devices, factory, scenario.ticks));
+    if (reference.empty())
+      reference = fp;
+    else
+      EXPECT_EQ(fp, reference) << threads << " threads";
+  }
+}
+
+TEST(FaultDrill, RepeatedRunsOnOneTrackerStartWarmAndRepeatExactly) {
+  const core::FaultDrillScenario scenario = core::fault_drill_scenario(8, 2);
+  const codebook::Codebook book = drill_codebook(scenario);
+  ResilientPolicy::Options opts;
+  opts.lookup.threads = 1;
+  const track::PolicyFactory factory = [&] {
+    return std::make_unique<ResilientPolicy>(book, opts);
+  };
+  track::FleetTracker tracker{scenario.config};
+  metasurface::SharedResponseEngine& engine = tracker.response_engine();
+  EXPECT_EQ(engine.cache_size(), 0u);  // construction does no block work
+  const std::string first =
+      fingerprint(tracker.run(scenario.devices, factory, scenario.ticks));
+  const std::size_t blocks = engine.cache_size();
+  const std::uint64_t misses = engine.cache_stats().misses;
+  EXPECT_GT(blocks, 0u);
+  EXPECT_GT(engine.cache_stats().hits, 0u);
+
+  const std::string second =
+      fingerprint(tracker.run(scenario.devices, factory, scenario.ticks));
+  EXPECT_EQ(engine.cache_size(), blocks);  // the warm run fills nothing
+  EXPECT_EQ(engine.cache_stats().misses, misses);
+  EXPECT_EQ(second, first);
 }
 
 TEST(FaultDrill, DrillScenarioPlanRoundTripsAndValidates) {

@@ -2,7 +2,7 @@
 // lock_contention statistic — uncontended traffic counts nothing, a
 // provably contended acquisition counts exactly once, and the engine's
 // cache_stats() surfaces the sum.
-#include "src/deploy/deployment_engine.h"
+#include "src/metasurface/response_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 
 #include "src/metasurface/designs.h"
 
-namespace llama::deploy {
+namespace llama::metasurface {
 namespace {
 
 TEST(CountedMutex, UncontendedTrafficCountsNothing) {
@@ -51,13 +51,13 @@ TEST(CountedMutex, FailedTryLockDoesNotCount) {
 }
 
 TEST(SharedResponseEngine, CacheStatsCarryLockContention) {
-  SharedResponseEngine engine{metasurface::prototype_fr4_design()};
+  SharedResponseEngine engine{prototype_fr4_design()};
   // Single-threaded traffic can never contend.
   const common::Frequency f = common::Frequency::ghz(2.44);
   for (double v : {0.0, 10.0, 20.0})
-    (void)engine.response(f, metasurface::SurfaceMode::kTransmissive,
+    (void)engine.response(f, SurfaceMode::kTransmissive,
                           common::Voltage{v}, common::Voltage{v});
-  const metasurface::ResponseCacheStats stats = engine.cache_stats();
+  const ResponseCacheStats stats = engine.cache_stats();
   EXPECT_EQ(stats.lock_contention, 0u);
   EXPECT_GT(stats.misses, 0u);
   // clear() zeroes the contention tally along with the other statistics.
@@ -66,4 +66,4 @@ TEST(SharedResponseEngine, CacheStatsCarryLockContention) {
 }
 
 }  // namespace
-}  // namespace llama::deploy
+}  // namespace llama::metasurface

@@ -1,15 +1,16 @@
-// Golden correctness of the batched/cached response engine: the planned,
-// cached and batched paths must reproduce the direct solver, and cached
-// S-parameters must keep the physical invariants.
-#include "src/metasurface/response_cache.h"
-
+// Golden correctness of the response paths: the planned, engine-bound and
+// batched paths must reproduce the direct solver, and planned S-parameters
+// must keep the physical invariants.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 
 #include "src/metasurface/designs.h"
 #include "src/metasurface/metasurface.h"
+#include "src/metasurface/response_engine.h"
 
 namespace llama::metasurface {
 namespace {
@@ -97,11 +98,18 @@ TEST(StackPlans, PlannedTransmissionAndReflectionMatchDirect) {
   }
 }
 
+/// A prototype surface bound to a fresh engine for its own stack.
+Metasurface bound_prototype(ResponseCacheConfig config = {}) {
+  Metasurface surface = Metasurface::llama_prototype();
+  surface.share_response_engine(
+      std::make_shared<SharedResponseEngine>(surface.stack(), config));
+  return surface;
+}
+
 TEST(ResponseCacheTest, CachedResponseMatchesUncachedBothModes) {
   Metasurface uncached = Metasurface::llama_prototype();
-  Metasurface cached = Metasurface::llama_prototype();
-  cached.enable_response_cache();
-  ASSERT_TRUE(cached.response_cache_enabled());
+  Metasurface cached = bound_prototype();
+  ASSERT_NE(cached.response_engine(), nullptr);
 
   for (double ghz : kFreqSamplesGhz) {
     const Frequency f = Frequency::ghz(ghz);
@@ -110,7 +118,7 @@ TEST(ResponseCacheTest, CachedResponseMatchesUncachedBothModes) {
         for (double vy : kBiasSamples) {
           uncached.set_bias(Voltage{vx}, Voltage{vy});
           cached.set_bias(Voltage{vx}, Voltage{vy});
-          // Query twice: first populates the memo, second must hit it.
+          // Query twice: first fills the lattice blocks, second must hit.
           const JonesMatrix reference = uncached.response(f, mode);
           expect_jones_near(reference, cached.response(f, mode), kTol,
                             "first (miss) query");
@@ -120,32 +128,27 @@ TEST(ResponseCacheTest, CachedResponseMatchesUncachedBothModes) {
       }
     }
   }
-  const std::optional<ResponseCacheStats> stats =
-      cached.response_cache_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->hits, 0u);
-  EXPECT_GT(stats->misses, 0u);
+  const ResponseCacheStats stats = cached.response_engine()->cache_stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
 }
 
 TEST(ResponseCacheTest, QuantizationBucketsShareOneEntry) {
-  Metasurface surface = Metasurface::llama_prototype();
   ResponseCacheConfig config;
   config.voltage_quantum_v = 0.5;
-  surface.enable_response_cache(config);
+  Metasurface surface = bound_prototype(config);
   const Frequency f = Frequency::ghz(2.44);
 
   surface.set_bias(Voltage{10.1}, Voltage{10.1});
   const JonesMatrix a = surface.response(f, SurfaceMode::kTransmissive);
   surface.set_bias(Voltage{10.2}, Voltage{10.2});
   const JonesMatrix b = surface.response(f, SurfaceMode::kTransmissive);
-  // Both biases quantize to 10.0 V, so the second query is a pure hit and
-  // returns the identical matrix.
+  // Both biases snap to the 10.0 V lattice point, so the second query is a
+  // pure hit and returns the identical matrix.
   expect_jones_near(a, b, 0.0, "same-bucket responses");
-  const std::optional<ResponseCacheStats> stats =
-      surface.response_cache_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->hits, 1u);
-  EXPECT_EQ(stats->misses, 1u);
+  const ResponseCacheStats stats = surface.response_engine()->cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
 
   // And the shared value is the response at the quantized representative.
   Metasurface reference = Metasurface::llama_prototype();
@@ -154,93 +157,67 @@ TEST(ResponseCacheTest, QuantizationBucketsShareOneEntry) {
                     kTol, "quantized representative");
 }
 
-TEST(ResponseCacheTest, LruEvictionBoundsTheCacheAndKeepsCorrectness) {
-  Metasurface surface = Metasurface::llama_prototype();
-  Metasurface reference = Metasurface::llama_prototype();
-  ResponseCacheConfig config;
-  config.capacity = 4;
-  surface.enable_response_cache(config);
-  const Frequency f = Frequency::ghz(2.44);
-
-  for (int pass = 0; pass < 2; ++pass) {
-    for (double v : {0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0}) {
-      surface.set_bias(Voltage{v}, Voltage{v});
-      reference.set_bias(Voltage{v}, Voltage{v});
-      expect_jones_near(reference.response(f, SurfaceMode::kTransmissive),
-                        surface.response(f, SurfaceMode::kTransmissive),
-                        kTol, "evicting cache");
-    }
-  }
-  const std::optional<ResponseCacheStats> stats =
-      surface.response_cache_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->evictions, 0u);
-}
-
 TEST(ResponseCacheTest, DisableRestoresDirectPath) {
-  Metasurface surface = Metasurface::llama_prototype();
-  surface.enable_response_cache();
-  surface.set_bias(Voltage{5.0}, Voltage{5.0});
-  (void)surface.response(Frequency::ghz(2.44), SurfaceMode::kTransmissive);
-  surface.disable_response_cache();
-  EXPECT_FALSE(surface.response_cache_enabled());
-  EXPECT_FALSE(surface.response_cache_stats().has_value());
+  Metasurface surface = bound_prototype();
+  const Frequency f = Frequency::ghz(2.44);
+  surface.set_bias(Voltage{5.0004}, Voltage{5.0});
+  const JonesMatrix snapped = surface.response(f, SurfaceMode::kTransmissive);
+  surface.share_response_engine(nullptr);
+  EXPECT_EQ(surface.response_engine(), nullptr);
+  // Unbound, the bias is no longer snapped to the lattice: the direct
+  // cascade at the exact bias, bit for bit.
+  const JonesMatrix direct = surface.response(f, SurfaceMode::kTransmissive);
+  const JonesMatrix golden = surface.stack().transmission(
+      f, Voltage{5.0004}, Voltage{5.0});
+  EXPECT_EQ(std::memcmp(&direct, &golden, sizeof direct), 0);
+  EXPECT_NE(std::memcmp(&direct, &snapped, sizeof direct), 0);
 }
 
 TEST(ResponseCacheTest, ClearResetsStatistics) {
-  // Regression: clear() dropped the entries but left the previous run's
-  // hit/miss/eviction counters in place, so a fresh measurement epoch
-  // started with stale statistics.
-  ResponseCache cache{ResponseCacheConfig{.capacity = 2}};
+  // Regression: clearing dropped the entries but left the previous run's
+  // hit/miss counters in place, so a fresh measurement epoch started with
+  // stale statistics.
+  Metasurface surface = bound_prototype();
   const Frequency f = Frequency::ghz(2.44);
-  const auto key = [&](double v) {
-    return cache.make_key(f, Voltage{v}, Voltage{v}, 0);
-  };
-  cache.insert(key(1.0), JonesMatrix::identity());
-  cache.insert(key(2.0), JonesMatrix::identity());
-  cache.insert(key(3.0), JonesMatrix::identity());  // evicts
-  EXPECT_TRUE(cache.find(key(3.0)).has_value());    // hit
-  EXPECT_FALSE(cache.find(key(9.0)).has_value());   // miss
-  EXPECT_GT(cache.stats().hits, 0u);
-  EXPECT_GT(cache.stats().misses, 0u);
-  EXPECT_GT(cache.stats().evictions, 0u);
+  for (double v : {1.0, 2.0, 1.0}) {
+    surface.set_bias(Voltage{v}, Voltage{v});
+    (void)surface.response(f, SurfaceMode::kTransmissive);
+  }
+  SharedResponseEngine& engine = *surface.response_engine();
+  EXPECT_GT(engine.cache_stats().hits, 0u);
+  EXPECT_GT(engine.cache_stats().misses, 0u);
+  EXPECT_GT(engine.cache_size(), 0u);
 
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  engine.clear();
+  EXPECT_EQ(engine.cache_size(), 0u);
+  EXPECT_EQ(engine.cache_stats().hits, 0u);
+  EXPECT_EQ(engine.cache_stats().misses, 0u);
 }
 
 TEST(ResponseCacheTest, SignedZeroFrequencyMapsToOneKey) {
-  // Regression: make_key bit_cast the raw frequency, so -0.0 Hz and 0.0 Hz
-  // (equal values, different bit patterns) produced distinct keys and an
-  // entry written under one was invisible under the other.
-  ResponseCache cache{ResponseCacheConfig{}};
-  const auto k_pos =
-      cache.make_key(Frequency::hz(0.0), Voltage{1.0}, Voltage{2.0}, 0);
-  const auto k_neg =
-      cache.make_key(Frequency::hz(-0.0), Voltage{1.0}, Voltage{2.0}, 0);
-  EXPECT_EQ(k_pos.frequency_bits, k_neg.frequency_bits);
-  EXPECT_TRUE(k_pos == k_neg);
-  cache.insert(k_pos, JonesMatrix::identity());
-  EXPECT_TRUE(cache.find(k_neg).has_value());
+  // Regression: the key was built from the frequency's raw bits, so -0.0 Hz
+  // and 0.0 Hz (equal values, different bit patterns) produced distinct
+  // entries and a value stored under one was invisible under the other.
+  Metasurface surface = bound_prototype();
+  surface.set_bias(Voltage{1.0}, Voltage{2.0});
+  const JonesMatrix pos =
+      surface.response(Frequency::hz(0.0), SurfaceMode::kTransmissive);
+  const JonesMatrix neg =
+      surface.response(Frequency::hz(-0.0), SurfaceMode::kTransmissive);
+  EXPECT_EQ(std::memcmp(&pos, &neg, sizeof pos), 0);
+  EXPECT_EQ(surface.response_engine()->plan_count(), 1u);
+  EXPECT_EQ(surface.response_engine()->cache_stats().hits, 1u);
 }
 
 TEST(ResponseCacheTest, NanFrequencyIsRejected) {
-  // NaN bits would poison the map with a key no equal-comparing lookup can
-  // ever match (NaN != NaN), leaking an unreachable entry per insert.
-  ResponseCache cache{ResponseCacheConfig{}};
-  EXPECT_THROW((void)cache.make_key(Frequency::hz(std::nan("")),
-                                    Voltage{1.0}, Voltage{1.0}, 0),
+  // A NaN frequency would build a plane no equal-comparing lookup can ever
+  // find again (NaN != NaN), leaking an unreachable plane per query.
+  Metasurface surface = bound_prototype();
+  surface.set_bias(Voltage{1.0}, Voltage{1.0});
+  EXPECT_THROW((void)surface.response(Frequency::hz(std::nan("")),
+                                      SurfaceMode::kTransmissive),
                std::invalid_argument);
-}
-
-TEST(ResponseCacheTest, RejectsInvalidConfig) {
-  EXPECT_THROW(ResponseCache(ResponseCacheConfig{.voltage_quantum_v = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(ResponseCache(ResponseCacheConfig{.capacity = 0}),
-               std::invalid_argument);
+  EXPECT_EQ(surface.response_engine()->plan_count(), 0u);
 }
 
 TEST(ResponseGrid, MatchesPointwiseResponses) {

@@ -10,18 +10,17 @@
 
 #include <gtest/gtest.h>
 
-#include "src/deploy/deployment_engine.h"
 #include "src/metasurface/designs.h"
+#include "src/metasurface/response_engine.h"
 
-namespace llama::deploy {
+namespace llama::metasurface {
 namespace {
 
 using common::Frequency;
 using common::Voltage;
-using metasurface::SurfaceMode;
 
 TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
-  SharedResponseEngine engine{metasurface::prototype_fr4_design()};
+  SharedResponseEngine engine{prototype_fr4_design()};
   const Frequency f = Frequency::ghz(2.44);
 
   constexpr int kPointThreads = 4;
@@ -60,7 +59,7 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
   std::thread monitor{[&] {
     std::uint64_t last_total = 0;
     while (!done.load()) {
-      const metasurface::ResponseCacheStats s = engine.cache_stats();
+      const ResponseCacheStats s = engine.cache_stats();
       const std::uint64_t total = s.hits + s.misses;
       EXPECT_GE(total, last_total);
       last_total = total;
@@ -78,7 +77,7 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
       static_cast<std::uint64_t>(kPointThreads) * kPointLookups +
       static_cast<std::uint64_t>(kGridThreads) * kGridWindows *
           window.size() * window.size();
-  const metasurface::ResponseCacheStats s = engine.cache_stats();
+  const ResponseCacheStats s = engine.cache_stats();
   EXPECT_EQ(s.hits + s.misses, expected_lookups);
   EXPECT_GT(s.hits, 0u);
   EXPECT_GT(s.misses, 0u);
@@ -86,4 +85,4 @@ TEST(SharedEngineConcurrency, StatsStayConsistentUnderConcurrentReaders) {
 }
 
 }  // namespace
-}  // namespace llama::deploy
+}  // namespace llama::metasurface

@@ -3,9 +3,12 @@
 //    the lattice bias to 1e-12, for every design and both modes;
 //  - determinism: an entry's value does not depend on which lookup filled
 //    its block, in what order, or from which thread (memcmp-identical);
+//  - binding: a bound Metasurface answers with the engine's lookups, stuck
+//    sub-aperture included, copies share the engine, and an engine built
+//    for another design is rejected;
 //  - laziness: a lookup fills only the blocks it reads;
 //  - input and config validation.
-#include "src/deploy/deployment_engine.h"
+#include "src/metasurface/response_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,13 +27,12 @@
 #include "src/core/scenarios.h"
 #include "src/metasurface/designs.h"
 
-namespace llama::deploy {
+namespace llama::metasurface {
 namespace {
 
 using common::Frequency;
 using common::Voltage;
 using em::JonesMatrix;
-using metasurface::SurfaceMode;
 
 constexpr double kQuantum = 1e-3;  // ResponseCacheConfig default
 
@@ -40,7 +44,7 @@ Voltage lattice_bias(double v) {
 
 struct Design {
   std::string name;
-  metasurface::RotatorStack stack;
+  RotatorStack stack;
   Frequency f;
 };
 
@@ -51,31 +55,31 @@ struct Design {
 /// target (the first tunable element), so both reflection terms read it.
 std::vector<Design> all_designs() {
   std::vector<Design> designs{
-      {"prototype_fr4", metasurface::prototype_fr4_design(),
+      {"prototype_fr4", prototype_fr4_design(),
        Frequency::ghz(2.44)},
-      {"optimized_fr4", metasurface::optimized_fr4_design(),
+      {"optimized_fr4", optimized_fr4_design(),
        Frequency::ghz(2.41)},
-      {"reference_rogers", metasurface::reference_rogers_design(),
+      {"reference_rogers", reference_rogers_design(),
        Frequency::ghz(2.46)},
-      {"naive_fr4", metasurface::naive_fr4_design(), Frequency::ghz(2.44)},
-      {"rfid_900mhz", metasurface::rfid_900mhz_design(),
+      {"naive_fr4", naive_fr4_design(), Frequency::ghz(2.44)},
+      {"rfid_900mhz", rfid_900mhz_design(),
        Frequency::ghz(0.915)}};
-  const metasurface::RotatorStack prototype =
-      metasurface::prototype_fr4_design();
-  std::vector<metasurface::StackElement> tunable;
-  std::vector<metasurface::StackElement> fixed;
-  for (const metasurface::StackElement& e : prototype.elements())
+  const RotatorStack prototype =
+      prototype_fr4_design();
+  std::vector<StackElement> tunable;
+  std::vector<StackElement> fixed;
+  for (const StackElement& e : prototype.elements())
     (e.tunable ? tunable : fixed).push_back(e);
-  std::vector<metasurface::StackElement> alone{tunable.front()};
+  std::vector<StackElement> alone{tunable.front()};
   alone.back().gap_after_m = 0.0;
-  std::vector<metasurface::StackElement> in_front{tunable.front()};
+  std::vector<StackElement> in_front{tunable.front()};
   in_front.back().rotation = common::Angle::degrees(20.0);
   in_front.insert(in_front.end(), fixed.begin(), fixed.end());
   const Frequency f = Frequency::ghz(2.44);
-  designs.push_back({"bfs_alone", metasurface::RotatorStack{alone}, f});
+  designs.push_back({"bfs_alone", RotatorStack{alone}, f});
   designs.push_back(
-      {"rotated_bfs_before_qwps", metasurface::RotatorStack{in_front}, f});
-  designs.push_back({"static_qwps", metasurface::RotatorStack{fixed}, f});
+      {"rotated_bfs_before_qwps", RotatorStack{in_front}, f});
+  designs.push_back({"static_qwps", RotatorStack{fixed}, f});
   return designs;
 }
 
@@ -112,7 +116,7 @@ TEST(SharedResponseEngineGolden, MatchesDirectScalarCascadeEverywhere) {
          {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
       const std::vector<double> vxs = test_biases(++seed);
       const std::vector<double> vys = test_biases(++seed);
-      const metasurface::JonesGrid grid =
+      const JonesGrid grid =
           engine.response_grid(d.f, mode, vxs, vys);
       for (std::size_t iy = 0; iy < vys.size(); ++iy)
         for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
@@ -134,6 +138,141 @@ TEST(SharedResponseEngineGolden, MatchesDirectScalarCascadeEverywhere) {
         }
     }
   }
+}
+
+JonesMatrix blend(double fraction, const JonesMatrix& healthy,
+                  const JonesMatrix& stuck) {
+  return em::Complex{1.0 - fraction, 0.0} * healthy +
+         em::Complex{fraction, 0.0} * stuck;
+}
+
+TEST(SharedResponseEngineBinding, BoundSurfaceMatchesEngineAndGolden) {
+  // The stuck bias sits off the lattice: the golden at its lattice point
+  // differs from the golden at the raw bias by far more than 1e-12, so the
+  // faulted checks below also prove the stuck term is an engine lookup.
+  const StuckCellFault fault{0.3, Voltage{7.3456}, Voltage{21.0987}};
+  std::uint64_t seed = 41;
+  for (const Design& d : all_designs()) {
+    const auto engine = std::make_shared<SharedResponseEngine>(d.stack);
+    Metasurface surface{d.stack};
+    surface.share_response_engine(engine);
+    for (const SurfaceMode mode :
+         {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
+      const auto golden = [&](Voltage vx, Voltage vy) {
+        return mode == SurfaceMode::kTransmissive
+                   ? d.stack.transmission(d.f, vx, vy)
+                   : d.stack.reflection(d.f, vx, vy);
+      };
+      const JonesMatrix stuck_golden = golden(
+          lattice_bias(fault.vx.value()), lattice_bias(fault.vy.value()));
+      const JonesMatrix stuck_engine =
+          engine->response(d.f, mode, fault.vx, fault.vy);
+      const std::vector<double> vxs = test_biases(++seed);
+      const std::vector<double> vys = test_biases(++seed);
+      for (const bool faulted : {false, true}) {
+        surface.set_stuck_cells(faulted ? std::optional{fault} : std::nullopt);
+        const std::string tag = d.name + " mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                (faulted ? " stuck" : " healthy");
+        BiasList pairs;
+        for (const double vy : vys)
+          for (const double vx : vxs) {
+            pairs.emplace_back(Voltage{vx}, Voltage{vy});
+            surface.set_bias(Voltage{vx}, Voltage{vy});
+            const JonesMatrix point =
+                engine->response(d.f, mode, Voltage{vx}, Voltage{vy});
+            const JonesMatrix want =
+                golden(lattice_bias(vx), lattice_bias(vy));
+            const std::string what = tag + " at (" + std::to_string(vx) +
+                                     ", " + std::to_string(vy) + ")";
+            const JonesMatrix got = surface.response(d.f, mode);
+            EXPECT_TRUE(same_bytes(
+                got, faulted ? blend(fault.fraction, point, stuck_engine)
+                             : point))
+                << what;
+            expect_near(got,
+                        faulted ? blend(fault.fraction, want, stuck_golden)
+                                : want,
+                        what);
+          }
+        if (!faulted) continue;
+        // Batched stuck blends: healthy cells run the kernels at the exact
+        // (clamped) bias; the stuck term is the engine's lattice lookup.
+        const JonesGrid grid = surface.response_grid(d.f, mode, vxs, vys);
+        const std::vector<JonesMatrix> batch =
+            surface.response_batch(d.f, mode, pairs);
+        for (std::size_t iy = 0; iy < vys.size(); ++iy)
+          for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
+            const JonesMatrix want = blend(
+                fault.fraction,
+                golden(Voltage{std::clamp(vxs[ix], 0.0, 30.0)},
+                       Voltage{std::clamp(vys[iy], 0.0, 30.0)}),
+                stuck_golden);
+            const std::string what = tag + " cell (" + std::to_string(ix) +
+                                     ", " + std::to_string(iy) + ")";
+            expect_near(grid[iy][ix], want, what + " grid");
+            expect_near(batch[iy * vxs.size() + ix], want, what + " batch");
+          }
+      }
+    }
+  }
+}
+
+TEST(SharedResponseEngineBinding, CopiesShareTheEngine) {
+  const Frequency f = Frequency::ghz(2.44);
+  const SurfaceMode mode = SurfaceMode::kTransmissive;
+  Metasurface original = Metasurface::llama_prototype();
+  const auto engine = std::make_shared<SharedResponseEngine>(original.stack());
+  original.share_response_engine(engine);
+  Metasurface copy = original;
+  Metasurface assigned = Metasurface::llama_prototype();
+  assigned = original;
+  EXPECT_EQ(copy.response_engine(), engine);
+  EXPECT_EQ(assigned.response_engine(), engine);
+
+  // A lookup through the copy fills the blocks the original then hits.
+  copy.set_bias(Voltage{3.0}, Voltage{17.0});
+  (void)copy.response(f, mode);
+  EXPECT_EQ(engine->cache_size(), 2u);
+  original.set_bias(Voltage{3.0}, Voltage{17.0});
+  (void)original.response(f, mode);
+  EXPECT_EQ(engine->cache_size(), 2u);
+  EXPECT_EQ(engine->cache_stats().hits, 1u);
+
+  // Unbinding the copy restores its direct path and leaves the original
+  // bound.
+  copy.set_bias(Voltage{3.0004}, Voltage{17.0});
+  copy.share_response_engine(nullptr);
+  EXPECT_EQ(copy.response_engine(), nullptr);
+  EXPECT_EQ(original.response_engine(), engine);
+  EXPECT_TRUE(same_bytes(
+      copy.response(f, mode),
+      copy.stack().transmission(f, Voltage{3.0004}, Voltage{17.0})));
+}
+
+TEST(SharedResponseEngineBinding, RejectsEngineForAnotherDesign) {
+  Metasurface surface = Metasurface::llama_prototype();
+  const auto other =
+      std::make_shared<SharedResponseEngine>(optimized_fr4_design());
+  EXPECT_THROW(surface.share_response_engine(other), std::invalid_argument);
+  EXPECT_EQ(surface.response_engine(), nullptr);  // binding unchanged
+
+  // One element field off is another design too.
+  std::vector<StackElement> elements = prototype_fr4_design().elements();
+  elements.back().gap_after_m += 1e-6;
+  EXPECT_THROW(surface.share_response_engine(
+                   std::make_shared<SharedResponseEngine>(
+                       RotatorStack{elements})),
+               std::invalid_argument);
+
+  // An independently built engine for an equal design binds.
+  EXPECT_NO_THROW(surface.share_response_engine(
+      std::make_shared<SharedResponseEngine>(prototype_fr4_design())));
+
+  // LlamaSystem::enable_fast_probes forwards the check.
+  core::LlamaSystem system{core::transmissive_mismatch_config()};
+  EXPECT_THROW(system.enable_fast_probes(other), std::invalid_argument);
+  EXPECT_EQ(system.surface().response_engine(), nullptr);
 }
 
 /// Biases spread over many blocks, with repeats inside blocks.
@@ -167,19 +306,19 @@ TEST(SharedResponseEngineDeterminism, FillOrderAndThreadsDoNotChangeBytes) {
   for (const SurfaceMode mode :
        {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
     // Points first, ascending.
-    SharedResponseEngine points{metasurface::prototype_fr4_design()};
+    SharedResponseEngine points{prototype_fr4_design()};
     for (const double vy : biases)
       for (const double vx : biases)
         (void)points.response(f, mode, Voltage{vx}, Voltage{vy});
 
     // Grid first, blocks filled in reverse order.
-    SharedResponseEngine reversed{metasurface::prototype_fr4_design()};
+    SharedResponseEngine reversed{prototype_fr4_design()};
     std::vector<double> descending = biases;
     std::sort(descending.begin(), descending.end(), std::greater<>{});
     (void)reversed.response_grid(f, mode, descending, descending);
 
     // Four threads racing over interleaved slices, points and grids mixed.
-    SharedResponseEngine concurrent{metasurface::prototype_fr4_design()};
+    SharedResponseEngine concurrent{prototype_fr4_design()};
     std::vector<std::thread> workers;
     for (std::size_t t = 0; t < 4; ++t)
       workers.emplace_back([&, t] {
@@ -208,7 +347,7 @@ TEST(SharedResponseEngineDeterminism, FillOrderAndThreadsDoNotChangeBytes) {
 }
 
 TEST(SharedResponseEngineLaziness, OneLookupFillsOneBlockPerAxis) {
-  SharedResponseEngine engine{metasurface::prototype_fr4_design()};
+  SharedResponseEngine engine{prototype_fr4_design()};
   const Frequency f = Frequency::ghz(2.44);
   const SurfaceMode mode = SurfaceMode::kTransmissive;
   EXPECT_EQ(engine.cache_size(), 0u);
@@ -229,14 +368,14 @@ TEST(SharedResponseEngineLaziness, OneLookupFillsOneBlockPerAxis) {
 TEST(SharedResponseEngineLaziness, FleetRoundFillsFewBlocks) {
   core::DenseDeploymentScenario s = core::dense_deployment_scenario(256, 8);
   s.config.interference.enable_leakage = true;
-  DeploymentEngine engine{s.config};
+  deploy::DeploymentEngine engine{s.config};
   (void)engine.run(s.devices);
   EXPECT_GT(engine.response_engine().cache_size(), 0u);
   EXPECT_LE(engine.response_engine().cache_size(), 64u);
 }
 
 TEST(SharedResponseEngineValidation, RejectsNaNBiasAndFrequency) {
-  SharedResponseEngine engine{metasurface::prototype_fr4_design()};
+  SharedResponseEngine engine{prototype_fr4_design()};
   const Frequency f = Frequency::ghz(2.44);
   const SurfaceMode mode = SurfaceMode::kTransmissive;
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -262,9 +401,9 @@ TEST(SharedResponseEngineValidation, RejectsNaNBiasAndFrequency) {
 
 TEST(SharedResponseEngineValidation, RejectsBadVoltageQuantum) {
   const auto make = [](double q) {
-    metasurface::ResponseCacheConfig cfg;
+    ResponseCacheConfig cfg;
     cfg.voltage_quantum_v = q;
-    return SharedResponseEngine{metasurface::prototype_fr4_design(), cfg};
+    return SharedResponseEngine{prototype_fr4_design(), cfg};
   };
   for (const double q : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity()})
@@ -277,4 +416,4 @@ TEST(SharedResponseEngineValidation, RejectsBadVoltageQuantum) {
 }
 
 }  // namespace
-}  // namespace llama::deploy
+}  // namespace llama::metasurface

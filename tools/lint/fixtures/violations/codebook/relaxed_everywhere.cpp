@@ -1,5 +1,4 @@
-// Seeded violations: memory_order_relaxed outside the blessed stats
-// counters (metasurface/response_cache).
+// Seeded violations: memory_order_relaxed without an inline waiver.
 #include <atomic>
 #include <cstddef>
 

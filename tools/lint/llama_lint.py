@@ -24,10 +24,10 @@ rules over src/:
                    deploy/track/codebook/channel paths: iteration order is
                    unspecified, so order-sensitive accumulation is
                    nondeterministic across standard libraries and hash seeds.
-  relaxed-atomic   memory_order_relaxed outside the blessed stats counters
-                   (metasurface/response_cache). Relaxed ordering on anything
-                   load-bearing reorders in exactly the ways TSan cannot
-                   always see.
+  relaxed-atomic   memory_order_relaxed anywhere without an inline waiver
+                   (the response engine's stats counters carry one each).
+                   Relaxed ordering on anything load-bearing reorders in
+                   exactly the ways TSan cannot always see.
   parallel-capture parallel_for with a by-reference lambda capture and no
                    adjacent per-shard ownership comment. Mutable shared
                    capture is how thread-count-dependent results happen; the
@@ -95,7 +95,6 @@ ALLOWED_PATHS = {
     "wall-clock": ("control/power_supply.", "bench_harness.h",
                    "serve/clock."),
     "rng": ("common/rng.",),
-    "relaxed-atomic": ("metasurface/response_cache.",),
 }
 
 # unordered-iter only guards the consumer paths named by the invariant;

@@ -13,7 +13,8 @@
 //                              dominate the measurement).
 //   city_eval_pruned_m256_t2/4 the same evaluation at 2 and 4 workers:
 //                              `parallel_efficiency` = t1 / (n * tn).
-//                              CI gates efficiency only when hw_cores
+//                              CI gates efficiency only when
+//                              effective_cores (measured spin speedup)
 //                              allows real parallelism.
 //   city_determinism_m64       power vectors memcmp'd across 1, 2 and 8
 //                              workers — `deterministic` must be true on

@@ -15,12 +15,16 @@
 // in by calling open_out(argc, argv) once at startup.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/serve/latency_histogram.h"
 
@@ -145,16 +149,66 @@ inline std::string latency_extra_json(const serve::LatencyHistogram& h) {
   return buf;
 }
 
+/// Wall time [s] of `threads` concurrent runs of a fixed CPU spin (best of
+/// `reps`): dependent integer work with no memory traffic, so it scales
+/// with the cores the process can actually run on.
+inline double spin_seconds(int threads, int reps) {
+  const auto spin = [] {
+    std::uint64_t x = 0x243F6A8885A308D3ULL;
+    for (int i = 0; i < 6'000'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    return x;
+  };
+  using clock = std::chrono::steady_clock;
+  double best = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    std::vector<std::uint64_t> sinks(static_cast<std::size_t>(threads), 0);
+    const clock::time_point start = clock::now();
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t)
+      pool.emplace_back(
+          [&sinks, &spin, t] { sinks[static_cast<std::size_t>(t)] = spin(); });
+    for (std::thread& th : pool) th.join();
+    best = std::min(
+        best, std::chrono::duration<double>(clock::now() - start).count());
+    if (sinks[0] == 42) best += 1e-12;  // keep the work observable
+  }
+  return best;
+}
+
+/// Effective cores at `threads` workers: the speedup of `threads`
+/// concurrent spins over one, threads * t1 / t_threads. A machine that
+/// reports 4 hardware threads but time-slices them on one core measures
+/// ~1. Measured once per thread count and memoized.
+inline double effective_cores(int threads) {
+  if (threads <= 1) return 1.0;
+  static std::map<int, double> measured;
+  const auto it = measured.find(threads);
+  if (it != measured.end()) return it->second;
+  const double t1 = spin_seconds(1, 3);
+  const double cores =
+      static_cast<double>(threads) * t1 / spin_seconds(threads, 3);
+  measured.emplace(threads, cores);
+  return cores;
+}
+
 /// Scaling keys as an extra_json fragment (starts with a comma):
-/// ,"threads":N,"hw_cores":H — `threads` is the effective worker count the
-/// measured section ran with and `hw_cores` the machine's hardware
-/// concurrency. Scaling gates over bench_trajectory.jsonl need both: a
-/// 1-core container's oversubscribed timings must not be judged against a
+/// ,"threads":N,"hw_cores":H,"effective_cores":E — `threads` is the
+/// effective worker count the measured section ran with, `hw_cores` the
+/// machine's hardware concurrency and `effective_cores` the measured spin
+/// speedup at `threads` workers. Scaling gates over
+/// bench_trajectory.jsonl key on effective_cores: a container whose
+/// hardware threads share fewer real cores must not be judged against a
 /// parallel-efficiency floor meant for real cores.
 inline std::string threads_extra_json(int threads) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"threads\":%d,\"hw_cores\":%u", threads,
-                std::thread::hardware_concurrency());
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                ",\"threads\":%d,\"hw_cores\":%u,\"effective_cores\":%.2f",
+                threads, std::thread::hardware_concurrency(),
+                effective_cores(threads));
   return buf;
 }
 

@@ -118,10 +118,11 @@ int main(int argc, char** argv) {
   }
 
   {
-    // SoA kernel gate (ROADMAP item 5): scalar planned per-cell vs the SoA
-    // grid path, BOTH single-threaded so the ratio isolates the kernel
+    // Bias-plane kernel gate: scalar planned per-cell vs the grid path
+    // (per-axis solves, CellCascade halves per column and row, one combine
+    // per cell), BOTH single-threaded so the ratio isolates the kernel
     // layer's per-cell efficiency rather than core count. CI asserts
-    // speedup_vs_scalar_planned >= 4.
+    // speedup_vs_scalar_planned >= 15.
     const metasurface::Metasurface surface =
         metasurface::Metasurface::llama_prototype();
     const metasurface::RotatorStack& pstack = surface.stack();

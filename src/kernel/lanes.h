@@ -3,9 +3,9 @@
 // A "lane" is one contiguous, 64-byte-aligned array of doubles; complex
 // planes are stored SPLIT — one lane of real parts, one of imaginary parts —
 // instead of interleaved std::complex. Split storage is what lets the
-// compiler turn the 2x2 Jones cascades into packed multiplies: every
-// arithmetic stream touches homogeneous doubles with unit stride, no
-// shuffles. See README "SoA kernel layer" for the layout diagram.
+// compiler turn the per-axis board solves (src/kernel/board_kernels) into
+// packed arithmetic: every stream touches homogeneous doubles with unit
+// stride, no shuffles. See README "SoA kernel layer".
 #pragma once
 
 #include <complex>

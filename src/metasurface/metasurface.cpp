@@ -19,9 +19,41 @@ Metasurface Metasurface::llama_prototype() {
   return Metasurface{prototype_fr4_design()};
 }
 
+namespace {
+
+/// A requested bias clamped to the supply range [0, 30] V, so +-inf clamp
+/// to the rails; NaN has no rail and is rejected.
+double supply_bias(double v) {
+  if (std::isnan(v)) throw std::invalid_argument{"Metasurface: NaN bias"};
+  return common::clamp(v, 0.0, 30.0);
+}
+
+std::vector<double> supply_biases(const std::vector<double>& values) {
+  std::vector<double> clamped(values.size());
+  std::transform(values.begin(), values.end(), clamped.begin(), supply_bias);
+  return clamped;
+}
+
+/// Coherent sub-aperture mixture of a stuck-cell fault: the stuck fraction
+/// keeps radiating at its frozen bias.
+em::JonesMatrix mix(const StuckCellFault& fault, const em::JonesMatrix& healthy,
+                    const em::JonesMatrix& stuck) {
+  return em::Complex{1.0 - fault.fraction, 0.0} * healthy +
+         em::Complex{fault.fraction, 0.0} * stuck;
+}
+
+/// Pair-chunk size for response_batch: each parallel_for index covers
+/// kPairChunk pairs, amortizing the per-index dispatch. Cells are pure
+/// functions of their biases, so the chunking never changes the bytes.
+constexpr std::size_t kPairChunk = 256;
+
+}  // namespace
+
 void Metasurface::set_bias(common::Voltage vx, common::Voltage vy) {
-  vx_ = common::Voltage{common::clamp(vx.value(), 0.0, 30.0)};
-  vy_ = common::Voltage{common::clamp(vy.value(), 0.0, 30.0)};
+  const common::Voltage x{supply_bias(vx.value())};
+  const common::Voltage y{supply_bias(vy.value())};
+  vx_ = x;
+  vy_ = y;
 }
 
 void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
@@ -30,8 +62,8 @@ void Metasurface::set_stuck_cells(std::optional<StuckCellFault> fault) {
         fault->fraction > 1.0)
       throw std::invalid_argument{
           "Metasurface: stuck-cell fraction must lie in (0, 1]"};
-    fault->vx = common::Voltage{common::clamp(fault->vx.value(), 0.0, 30.0)};
-    fault->vy = common::Voltage{common::clamp(fault->vy.value(), 0.0, 30.0)};
+    fault->vx = common::Voltage{supply_bias(fault->vx.value())};
+    fault->vy = common::Voltage{supply_bias(fault->vy.value())};
   }
   stuck_ = fault;
 }
@@ -44,18 +76,17 @@ void Metasurface::share_response_engine(
   engine_ = std::move(engine);
 }
 
-const RotatorStack::TransmissionPlan& Metasurface::acquire_transmission_plan(
-    common::Frequency f) const {
-  if (!transmission_plan_ || transmission_plan_->first != f.in_hz())
-    transmission_plan_.emplace(f.in_hz(), stack_.plan_transmission(f));
-  return transmission_plan_->second;
-}
-
-const RotatorStack::ReflectionPlan& Metasurface::acquire_reflection_plan(
-    common::Frequency f) const {
-  if (!reflection_plan_ || reflection_plan_->first != f.in_hz())
-    reflection_plan_.emplace(f.in_hz(), stack_.plan_reflection(f));
-  return reflection_plan_->second;
+const kernel::CellCascade& Metasurface::cascade(common::Frequency f,
+                                                SurfaceMode mode) const {
+  auto& slot = cascades_[mode == SurfaceMode::kTransmissive ? 0 : 1];
+  if (!slot || slot->first != f.in_hz())
+    slot.emplace(f.in_hz(),
+                 mode == SurfaceMode::kTransmissive
+                     ? kernel::transmission_cells(stack_,
+                                                  stack_.plan_transmission(f))
+                     : kernel::reflection_cells(stack_,
+                                                stack_.plan_reflection(f)));
+  return slot->second;
 }
 
 em::JonesMatrix Metasurface::response_at(common::Frequency f,
@@ -66,86 +97,42 @@ em::JonesMatrix Metasurface::response_at(common::Frequency f,
                                             : stack_.reflection(f, vx, vy);
 }
 
+std::optional<em::JonesMatrix> Metasurface::stuck_response(
+    common::Frequency f, SurfaceMode mode) const {
+  if (!stuck_) return std::nullopt;
+  LLAMA_INVARIANT(stuck_->fraction > 0.0 && stuck_->fraction <= 1.0,
+                  "set_stuck_cells admits only fractions in (0, 1]");
+  return response_at(f, mode, stuck_->vx, stuck_->vy);
+}
+
 em::JonesMatrix Metasurface::response(common::Frequency f,
                                       SurfaceMode mode) const {
   const em::JonesMatrix healthy = response_at(f, mode, vx_, vy_);
-  if (!stuck_) return healthy;
-  // Coherent sub-aperture mixture: the stuck fraction keeps radiating at
-  // its frozen bias.
-  LLAMA_INVARIANT(stuck_->fraction > 0.0 && stuck_->fraction <= 1.0,
-                  "set_stuck_cells admits only fractions in (0, 1]");
-  const em::JonesMatrix stuck = response_at(f, mode, stuck_->vx, stuck_->vy);
-  return em::Complex{1.0 - stuck_->fraction, 0.0} * healthy +
-         em::Complex{stuck_->fraction, 0.0} * stuck;
+  const std::optional<em::JonesMatrix> stuck = stuck_response(f, mode);
+  return stuck ? mix(*stuck_, healthy, *stuck) : healthy;
 }
-
-namespace {
-
-/// Clamp a raw bias axis to the supply range, matching set_bias.
-std::vector<double> clamp_bias_lane(const std::vector<double>& values) {
-  std::vector<double> clamped(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    clamped[i] = common::clamp(values[i], 0.0, 30.0);
-  return clamped;
-}
-
-/// Fixed pair-chunk size for response_batch: the work decomposition is part
-/// of the byte-determinism contract (it must not depend on the worker
-/// count), and chunks amortize the kernel's per-call scratch allocation.
-constexpr std::size_t kPairChunk = 256;
-
-/// Lane-space degraded blend from a stuck-cell fault. `stuck` is the stuck
-/// sub-aperture's response (Metasurface::response_at); only the per-cell
-/// mixing happens inside the kernels.
-kernel::StuckBlend make_stuck_blend(const StuckCellFault& fault,
-                                    const em::JonesMatrix& stuck) {
-  kernel::StuckBlend blend;
-  blend.keep = em::Complex{1.0 - fault.fraction, 0.0};
-  blend.frac = em::Complex{fault.fraction, 0.0};
-  blend.stuck = stuck;
-  return blend;
-}
-
-}  // namespace
 
 JonesGrid Metasurface::response_grid(common::Frequency f, SurfaceMode mode,
                                      const std::vector<double>& vx_values,
                                      const std::vector<double>& vy_values,
                                      int threads) const {
-  JonesGrid grid(vy_values.size(),
-                 std::vector<em::JonesMatrix>(vx_values.size()));
-  if (vx_values.empty() || vy_values.empty()) return grid;
-  const std::vector<double> vxs = clamp_bias_lane(vx_values);
-  const std::vector<double> vys = clamp_bias_lane(vy_values);
-  std::optional<kernel::StuckBlend> blend;
-  if (stuck_)
-    blend = make_stuck_blend(*stuck_,
-                             response_at(f, mode, stuck_->vx, stuck_->vy));
-  if (mode == SurfaceMode::kTransmissive) {
-    // Plan acquired ONCE per (f, mode); the kernel factors it into SoA
-    // lanes at construction and the sharded loop below only reads both by
-    // const-ref.
-    const RotatorStack::TransmissionPlan& plan = acquire_transmission_plan(f);
-    kernel::TransmissionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership: parallel_for hands each shard a disjoint set of row
-    // indices; shard iy writes only grid[iy], the kernel is shared
-    // read-only, and eval scratch is call-local — so the plane is
-    // byte-identical for any thread count.
-    common::parallel_for(vys.size(), threads, [&](std::size_t iy) {
-      k.eval_grid_row(iy, grid[iy].data());
-    });
-  } else {
-    const RotatorStack::ReflectionPlan& plan = acquire_reflection_plan(f);
-    kernel::ReflectionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership as above: shard iy writes only grid[iy].
-    common::parallel_for(vys.size(), threads, [&](std::size_t iy) {
-      k.eval_grid_row(iy, grid[iy].data());
-    });
-  }
+  const std::vector<double> vxs = supply_biases(vx_values);
+  const std::vector<double> vys = supply_biases(vy_values);
+  JonesGrid grid(vys.size(), std::vector<em::JonesMatrix>(vxs.size()));
+  if (vxs.empty() || vys.empty()) return grid;
+  const kernel::PlaneKernel k{cascade(f, mode), vxs, vys};
+  const std::optional<em::JonesMatrix> stuck = stuck_response(f, mode);
+  // Shard ownership: parallel_for hands each shard a disjoint set of row
+  // indices; shard iy writes only grid[iy] and the kernel is shared
+  // read-only, so the plane is byte-identical for any thread count.
+  common::parallel_for(vys.size(), threads, [&](std::size_t iy) {
+    for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
+      const em::JonesMatrix cell = k.cell(ix, iy);
+      grid[iy][ix] = stuck ? mix(*stuck_, cell, *stuck) : cell;
+    }
+  });
   LLAMA_ENSURES(grid.size() == vy_values.size() &&
-                    (grid.empty() || grid.front().size() == vx_values.size()),
+                    grid.front().size() == vx_values.size(),
                 "bias-plane grid shape matches the requested axes");
   return grid;
 }
@@ -153,42 +140,26 @@ JonesGrid Metasurface::response_grid(common::Frequency f, SurfaceMode mode,
 std::vector<em::JonesMatrix> Metasurface::response_batch(
     common::Frequency f, SurfaceMode mode, const BiasList& points,
     int threads) const {
-  std::vector<em::JonesMatrix> out(points.size());
-  if (points.empty()) return out;
   std::vector<double> vxs(points.size());
   std::vector<double> vys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    vxs[i] = common::clamp(points[i].first.value(), 0.0, 30.0);
-    vys[i] = common::clamp(points[i].second.value(), 0.0, 30.0);
+    vxs[i] = supply_bias(points[i].first.value());
+    vys[i] = supply_bias(points[i].second.value());
   }
-  std::optional<kernel::StuckBlend> blend;
-  if (stuck_)
-    blend = make_stuck_blend(*stuck_,
-                             response_at(f, mode, stuck_->vx, stuck_->vy));
-  const std::size_t chunks = (points.size() + kPairChunk - 1) / kPairChunk;
-  if (mode == SurfaceMode::kTransmissive) {
-    const RotatorStack::TransmissionPlan& plan = acquire_transmission_plan(f);
-    kernel::TransmissionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership: chunk c writes only out[c*kPairChunk .. end); the
-    // chunk grid is fixed, so results are byte-identical for any thread
-    // count.
-    common::parallel_for(chunks, threads, [&](std::size_t c) {
-      const std::size_t begin = c * kPairChunk;
-      const std::size_t end = std::min(begin + kPairChunk, points.size());
-      k.eval_pairs(begin, end, out.data() + begin);
-    });
-  } else {
-    const RotatorStack::ReflectionPlan& plan = acquire_reflection_plan(f);
-    kernel::ReflectionKernel k{stack_, plan, vxs, vys};
-    if (blend) k.set_blend(*blend);
-    // Shard ownership as above: chunk c writes only its own out range.
-    common::parallel_for(chunks, threads, [&](std::size_t c) {
-      const std::size_t begin = c * kPairChunk;
-      const std::size_t end = std::min(begin + kPairChunk, points.size());
-      k.eval_pairs(begin, end, out.data() + begin);
-    });
-  }
+  std::vector<em::JonesMatrix> out(points.size());
+  if (points.empty()) return out;
+  const kernel::PlaneKernel k{cascade(f, mode), vxs, vys};
+  const std::optional<em::JonesMatrix> stuck = stuck_response(f, mode);
+  // Shard ownership: chunk c writes only out[c*kPairChunk .. end).
+  common::parallel_for(
+      (points.size() + kPairChunk - 1) / kPairChunk, threads,
+      [&](std::size_t c) {
+        const std::size_t end = std::min((c + 1) * kPairChunk, points.size());
+        for (std::size_t i = c * kPairChunk; i < end; ++i) {
+          const em::JonesMatrix cell = k.cell(i, i);
+          out[i] = stuck ? mix(*stuck_, cell, *stuck) : cell;
+        }
+      });
   LLAMA_ENSURES(out.size() == points.size(),
                 "batched responses line up with the requested bias list");
   return out;

@@ -9,6 +9,7 @@
 // to the same engine (every device plant of a tracked fleet).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -17,6 +18,7 @@
 
 #include "src/common/units.h"
 #include "src/em/jones.h"
+#include "src/kernel/jones_kernels.h"
 #include "src/metasurface/designs.h"
 #include "src/metasurface/rotator_stack.h"
 
@@ -82,7 +84,9 @@ class Metasurface {
   [[nodiscard]] const LatticeSpec& spec() const { return spec_; }
   [[nodiscard]] const RotatorStack& stack() const { return stack_; }
 
-  /// Sets the bias pair; values are clamped to the supply range [0, 30] V.
+  /// Sets the bias pair; values are clamped to the supply range [0, 30] V
+  /// (so +-inf clamp to the rails). Throws std::invalid_argument on a NaN
+  /// bias, leaving the bias unchanged.
   void set_bias(common::Voltage vx, common::Voltage vy);
   [[nodiscard]] common::Voltage bias_x() const { return vx_; }
   [[nodiscard]] common::Voltage bias_y() const { return vy_; }
@@ -93,7 +97,7 @@ class Metasurface {
   /// Bound to a response engine (see share_response_engine) this is an
   /// engine lookup at the lattice bias; unbound, the direct golden path
   /// runs. The stuck sub-aperture of a stuck-cell fault follows the same
-  /// rule. Not thread-safe (the per-frequency plan slots are mutable).
+  /// rule.
   [[nodiscard]] em::JonesMatrix response(common::Frequency f,
                                          SurfaceMode mode) const;
 
@@ -113,7 +117,7 @@ class Metasurface {
   /// a bound engine holds only the pure responses, so a fault never
   /// poisons it. Throws std::invalid_argument when the fraction is
   /// non-finite or outside (0, 1]; the stuck bias pair is clamped to the
-  /// supply range like set_bias.
+  /// supply range and NaN rejected like set_bias.
   void set_stuck_cells(std::optional<StuckCellFault> fault);
   [[nodiscard]] const std::optional<StuckCellFault>& stuck_cells() const {
     return stuck_;
@@ -121,20 +125,20 @@ class Metasurface {
 
   /// Batched evaluation of a whole bias plane at one frequency: returns
   /// grid[iy][ix] = response at (vx_values[ix], vy_values[iy]). Biases are
-  /// clamped to the supply range like set_bias. Evaluation runs through the
-  /// SoA kernel layer (src/kernel): the per-(f, mode) plan is acquired once,
-  /// axis lanes are built once, and rows are distributed over `threads`
-  /// workers (<= 0 picks a default). Every cell is a pure function of
-  /// (plan, axes, cell index), so the grid is byte-identical for any thread
-  /// count (asserted by ResponseGrid.ThreadCountDoesNotChangeBytes); it
-  /// agrees with pointwise response() calls to <= 1e-12 per component — the
-  /// kernels reassociate relative to the scalar golden path, so bit-equality
-  /// with response() is NOT promised (ResponseGrid.MatchesPointwiseResponses
-  /// and the randomized suite in tests/kernel assert the bound). Does not
-  /// touch the current bias; the healthy cells never read a bound engine.
-  /// A stuck-cell fault mixes into every cell in lane space (its stuck
-  /// response taken like response() takes it), so batched sweeps see the
-  /// same degraded plane pointwise probes do.
+  /// clamped to the supply range and NaN rejected like set_bias. The plan's
+  /// cell cascade (src/kernel) is memoized per mode, each column's X half
+  /// and each row's Y half are computed once, and rows are distributed
+  /// over `threads` workers (<= 0 picks a default). Every cell is a pure
+  /// function of its biases, so the grid is byte-identical for any thread
+  /// count (asserted by ResponseGrid.ThreadCountDoesNotChangeBytes). It is
+  /// the engine's arithmetic: at lattice biases a cell equals
+  /// SharedResponseEngine::response_grid's bit for bit, and elsewhere it
+  /// agrees with the direct golden path to <= 1e-12 per component (the
+  /// cascade reassociates; tests/kernel asserts the bound). Does not touch
+  /// the current bias; the healthy cells never read a bound engine. A
+  /// stuck-cell fault mixes into every cell exactly as response() mixes it,
+  /// so batched sweeps see the same degraded plane pointwise probes do. Not
+  /// thread-safe: it updates the mutable cascade memo.
   [[nodiscard]] JonesGrid response_grid(common::Frequency f, SurfaceMode mode,
                                         const std::vector<double>& vx_values,
                                         const std::vector<double>& vy_values,
@@ -168,15 +172,16 @@ class Metasurface {
                                             common::Voltage vx,
                                             common::Voltage vy) const;
 
-  /// Acquire (building only when the memoized frequency differs) the
-  /// per-frequency plan. Hoisted out of the batched loops: response_grid /
-  /// response_batch touch the plan slot exactly once per call and hand the
-  /// plan to the kernels by const-ref; the sharded bodies never see the
-  /// mutable slot.
-  [[nodiscard]] const RotatorStack::TransmissionPlan& acquire_transmission_plan(
-      common::Frequency f) const;
-  [[nodiscard]] const RotatorStack::ReflectionPlan& acquire_reflection_plan(
-      common::Frequency f) const;
+  /// The stuck sub-aperture's response (see response_at) under a
+  /// stuck-cell fault; nullopt when healthy.
+  [[nodiscard]] std::optional<em::JonesMatrix> stuck_response(
+      common::Frequency f, SurfaceMode mode) const;
+
+  /// The plan's cell cascade for (f, mode), rebuilt only when the mode's
+  /// memoized frequency differs. response_grid / response_batch take it
+  /// once per call, before their sharded loops, which only read it.
+  [[nodiscard]] const kernel::CellCascade& cascade(common::Frequency f,
+                                                   SurfaceMode mode) const;
 
   RotatorStack stack_;
   LatticeSpec spec_;
@@ -185,11 +190,10 @@ class Metasurface {
   std::optional<StuckCellFault> stuck_;
   /// Shared response store for point responses; null = direct path.
   std::shared_ptr<SharedResponseEngine> engine_;
-  /// Most-recent per-frequency plans, keyed by frequency in Hz.
-  mutable std::optional<std::pair<double, RotatorStack::TransmissionPlan>>
-      transmission_plan_;
-  mutable std::optional<std::pair<double, RotatorStack::ReflectionPlan>>
-      reflection_plan_;
+  /// Most recent cell cascade per mode (transmissive, reflective), keyed
+  /// by frequency in Hz.
+  mutable std::array<std::optional<std::pair<double, kernel::CellCascade>>, 2>
+      cascades_;
 };
 
 }  // namespace llama::metasurface

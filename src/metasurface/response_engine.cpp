@@ -107,8 +107,7 @@ SharedResponseEngine::AxisPlane& SharedResponseEngine::plane(
   if (AxisPlane* p = find()) return *p;
   auto fresh = std::make_unique<AxisPlane>(
       mode == SurfaceMode::kTransmissive
-          ? kernel::TransmissionCascade{stack_, stack_.plan_transmission(f)}
-                .cells()
+          ? kernel::transmission_cells(stack_, stack_.plan_transmission(f))
           : kernel::reflection_cells(stack_, stack_.plan_reflection(f)),
       f, mode, (lattice_entries_ + kBlockQuanta - 1) / kBlockQuanta);
   fresh->previous = newest_plane_.load(std::memory_order_acquire);
@@ -202,20 +201,12 @@ JonesGrid SharedResponseEngine::response_grid(common::Frequency f,
       static_cast<std::uint64_t>(nx - unfilled[0]) * (ny - unfilled[1]);
   count(hits, nx * ny - hits);
 
-  // Each column's X half and each row's Y half once (X columns first, then
-  // Y rows), then one combine per cell: the same arithmetic as response()'s
-  // eval.
-  const kernel::CellCascade& cells = p.cells;
-  const std::size_t stride = cells.terms_size();
-  std::vector<double> halves((nx + ny) * stride);
-  for (std::size_t i = 0; i < nx + ny; ++i)
-    cells.axis_terms(i < nx ? kernel::BiasAxis::kX : kernel::BiasAxis::kY,
-                     entry[i], halves.data() + i * stride);
-  const double* const y_halves = halves.data() + nx * stride;
+  // Each column's X half and each row's Y half once, then one combine per
+  // cell: the same arithmetic as response()'s eval.
+  const kernel::PlaneKernel k{p.cells, {entry.data(), nx},
+                              {entry.data() + nx, ny}};
   for (std::size_t iy = 0; iy < ny; ++iy)
-    for (std::size_t ix = 0; ix < nx; ++ix)
-      grid[iy][ix] = cells.combine(halves.data() + ix * stride,
-                                   y_halves + iy * stride);
+    for (std::size_t ix = 0; ix < nx; ++ix) grid[iy][ix] = k.cell(ix, iy);
   return grid;
 }
 

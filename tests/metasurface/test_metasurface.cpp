@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 namespace llama::metasurface {
 namespace {
@@ -36,6 +39,53 @@ TEST(Metasurface, BiasIsClampedToSupplyRange) {
   m.set_bias(Voltage{45.0}, Voltage{-3.0});
   EXPECT_DOUBLE_EQ(m.bias_x().value(), 30.0);
   EXPECT_DOUBLE_EQ(m.bias_y().value(), 0.0);
+}
+
+TEST(Metasurface, NaNBiasIsRejectedAndInfinityClamps) {
+  // std::clamp passes NaN through, so a NaN bias used to be stored and
+  // surface far from its cause (NaN cells, or a bound engine's throw).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Metasurface m = Metasurface::llama_prototype();
+  m.set_bias(Voltage{4.0}, Voltage{5.0});
+  EXPECT_THROW(m.set_bias(Voltage{nan}, Voltage{1.0}), std::invalid_argument);
+  EXPECT_THROW(m.set_bias(Voltage{1.0}, Voltage{nan}), std::invalid_argument);
+  EXPECT_EQ(m.bias_x().value(), 4.0);  // a rejected pair changes nothing
+  EXPECT_EQ(m.bias_y().value(), 5.0);
+  m.set_bias(Voltage{inf}, Voltage{-inf});
+  EXPECT_EQ(m.bias_x().value(), 30.0);
+  EXPECT_EQ(m.bias_y().value(), 0.0);
+
+  EXPECT_THROW(m.set_stuck_cells(StuckCellFault{0.5, Voltage{nan}, Voltage{}}),
+               std::invalid_argument);
+  EXPECT_THROW(m.set_stuck_cells(StuckCellFault{0.5, Voltage{}, Voltage{nan}}),
+               std::invalid_argument);
+  EXPECT_FALSE(m.stuck_cells().has_value());
+  m.set_stuck_cells(StuckCellFault{0.5, Voltage{inf}, Voltage{-inf}});
+  EXPECT_EQ(m.stuck_cells()->vx.value(), 30.0);
+  EXPECT_EQ(m.stuck_cells()->vy.value(), 0.0);
+
+  for (const SurfaceMode mode :
+       {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
+    EXPECT_THROW((void)m.response_grid(kF0, mode, {1.0, nan}, {2.0}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)m.response_grid(kF0, mode, {1.0}, {nan}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)m.response_batch(kF0, mode,
+                                        {{Voltage{1.0}, Voltage{2.0}},
+                                         {Voltage{nan}, Voltage{2.0}}}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)m.response_batch(kF0, mode, {{Voltage{1.0}, Voltage{nan}}}),
+        std::invalid_argument);
+    // +-inf clamp to the rails, as the scalar setters do.
+    const JonesGrid grid = m.response_grid(kF0, mode, {inf}, {-inf});
+    const auto batch =
+        m.response_batch(kF0, mode, {{Voltage{inf}, Voltage{-inf}}});
+    const JonesGrid rails = m.response_grid(kF0, mode, {30.0}, {0.0});
+    EXPECT_EQ(std::memcmp(&grid[0][0], &rails[0][0], sizeof rails[0][0]), 0);
+    EXPECT_EQ(std::memcmp(&batch[0], &rails[0][0], sizeof rails[0][0]), 0);
+  }
 }
 
 TEST(Metasurface, DcPowerIsNanowatts) {

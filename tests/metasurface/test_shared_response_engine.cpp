@@ -218,6 +218,58 @@ TEST(SharedResponseEngineBinding, BoundSurfaceMatchesEngineAndGolden) {
   }
 }
 
+TEST(SharedResponseEngineBinding, UnboundPlanesEqualEngineAtLatticeBiases) {
+  // One arithmetic for both modes: at lattice biases an unbound surface's
+  // grid and batch cells are the engine's cells, byte for byte; a stuck
+  // fault mixes them with the surface's own (direct-path) stuck response.
+  const StuckCellFault fault{0.3, Voltage{7.3456}, Voltage{21.0987}};
+  std::vector<double> vxs;
+  std::vector<double> vys;
+  common::Rng rng{57};
+  for (int i = 0; i < 9; ++i) {
+    vxs.push_back(static_cast<double>(rng.uniform_int(0, 30000)) * 1e-3);
+    vys.push_back(static_cast<double>(rng.uniform_int(0, 30000)) * 1e-3);
+  }
+  vxs.push_back(static_cast<double>(30000) * 1e-3);
+  vys.push_back(0.0);
+  for (const Design& d : all_designs()) {
+    SharedResponseEngine engine{d.stack};
+    Metasurface surface{d.stack};
+    for (const SurfaceMode mode :
+         {SurfaceMode::kTransmissive, SurfaceMode::kReflective}) {
+      const JonesGrid want = engine.response_grid(d.f, mode, vxs, vys);
+      const JonesMatrix stuck =
+          mode == SurfaceMode::kTransmissive
+              ? d.stack.transmission(d.f, fault.vx, fault.vy)
+              : d.stack.reflection(d.f, fault.vx, fault.vy);
+      BiasList pairs;
+      for (const double vy : vys)
+        for (const double vx : vxs)
+          pairs.emplace_back(Voltage{vx}, Voltage{vy});
+      for (const bool faulted : {false, true}) {
+        surface.set_stuck_cells(faulted ? std::optional{fault} : std::nullopt);
+        const JonesGrid grid = surface.response_grid(d.f, mode, vxs, vys);
+        const std::vector<JonesMatrix> batch =
+            surface.response_batch(d.f, mode, pairs);
+        for (std::size_t iy = 0; iy < vys.size(); ++iy)
+          for (std::size_t ix = 0; ix < vxs.size(); ++ix) {
+            const JonesMatrix cell =
+                faulted ? blend(fault.fraction, want[iy][ix], stuck)
+                        : want[iy][ix];
+            const std::string what =
+                d.name + " mode " + std::to_string(static_cast<int>(mode)) +
+                (faulted ? " stuck" : " healthy") + " at (" +
+                std::to_string(vxs[ix]) + ", " + std::to_string(vys[iy]) +
+                ")";
+            EXPECT_TRUE(same_bytes(grid[iy][ix], cell)) << what << " grid";
+            EXPECT_TRUE(same_bytes(batch[iy * vxs.size() + ix], cell))
+                << what << " batch";
+          }
+      }
+    }
+  }
+}
+
 TEST(SharedResponseEngineBinding, CopiesShareTheEngine) {
   const Frequency f = Frequency::ghz(2.44);
   const SurfaceMode mode = SurfaceMode::kTransmissive;

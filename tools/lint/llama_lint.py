@@ -45,13 +45,15 @@ rules over src/:
   kernel-purity    per-cell scalar cascade calls (planned_response,
                    jones_transmission, axis_sparams/axis_transmission/
                    axis_reflection, or .response()/.transmission()/
-                   .reflection() member calls) inside the kernel dir. The SoA
-                   kernel layer exists to evaluate whole bias planes as
-                   lanes; falling back to the scalar per-cell API inside
-                   src/kernel silently reverts the hot path to O(cells) axis
-                   solves and defeats vectorization. The scalar path stays
-                   the golden REFERENCE, called from tests and consumers —
-                   never from inside a kernel.
+                   .reflection() member calls) inside the kernel dir. The
+                   kernel layer exists to evaluate whole bias planes: axis
+                   solves as SoA lanes, then per-column and per-row
+                   CellCascade halves and one combine per cell; falling back
+                   to the scalar per-cell API inside src/kernel silently
+                   reverts the hot path to O(cells) axis solves and defeats
+                   vectorization. The scalar path stays the golden
+                   REFERENCE, called from tests and consumers — never from
+                   inside a kernel.
 
 Waivers: a site silences exactly one rule with an inline comment carrying a
 reason, either trailing the line or on the line directly above it:

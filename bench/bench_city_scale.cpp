@@ -12,10 +12,13 @@
 //                              (the analytic worst case, which must
 //                              dominate the measurement).
 //   city_eval_pruned_m256_t2/4 the same evaluation at 2 and 4 workers:
-//                              `parallel_efficiency` = t1 / (n * tn).
-//                              CI gates efficiency only when
-//                              effective_cores (measured spin speedup)
-//                              allows real parallelism.
+//                              `parallel_efficiency` = t1 / (n * tn), the
+//                              median over interleaved 1-worker/n-worker
+//                              repetition pairs (so drift on a shared box
+//                              hits both sides of each ratio alike). CI
+//                              gates efficiency only when effective_cores
+//                              (measured spin speedup) allows real
+//                              parallelism.
 //   city_determinism_m64       power vectors memcmp'd across 1, 2 and 8
 //                              workers — `deterministic` must be true on
 //                              any machine, 1-core containers included.
@@ -27,6 +30,15 @@
 //                              looks up only the device's kept scene
 //                              surfaces, so its cost follows the kept
 //                              paths, not M (CI gates the ratio <= 2x).
+//   city_assign_m256/m4096     CityFleetEngine::assign of 4096 devices at
+//                              M=256 vs M=4096, one worker: the pyramid
+//                              descent keeps the per-device cost O(kept +
+//                              log M), so `ns_ratio_vs_m256` (the median
+//                              of interleaved pair ratios) is CI-gated
+//                              <= 2 (~1.5 measured; the former O(M) scene
+//                              build read ~11).
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -68,6 +80,65 @@ bool same_powers(const deploy::CityEvalReport& a,
 }
 
 std::string bool_json(bool b) { return b ? "true" : "false"; }
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+/// Per-repetition ns per call of two operations timed in alternating
+/// repetitions (each at least `min_time_s` of back-to-back calls, after one
+/// untimed warm-up call of each), so drift on a shared box lands on both
+/// sides of every a/b pair.
+struct PairedTimes {
+  std::vector<double> a_ns;
+  std::vector<double> b_ns;
+
+  /// Median over the pairs of a_ns[i] / b_ns[i].
+  [[nodiscard]] double median_ratio() const {
+    std::vector<double> ratios;
+    for (std::size_t i = 0; i < a_ns.size(); ++i)
+      ratios.push_back(a_ns[i] / b_ns[i]);
+    return median(ratios);
+  }
+};
+
+/// One side's timing as a bench line: its median ns per call.
+bench::BenchResult median_result(std::string name,
+                                 const std::vector<double>& ns) {
+  bench::BenchResult r;
+  r.name = std::move(name);
+  r.ns_per_op = median(ns);
+  r.ops_per_s = 1e9 / r.ns_per_op;
+  r.iterations = static_cast<long>(ns.size());
+  return r;
+}
+
+template <typename A, typename B>
+PairedTimes run_paired(A&& a, B&& b, int pairs = 9,
+                       double min_time_s = 0.05) {
+  const auto ns_per_call = [min_time_s](auto& op) {
+    using clock = std::chrono::steady_clock;
+    long calls = 0;
+    const clock::time_point start = clock::now();
+    double elapsed_s = 0.0;
+    do {
+      op();
+      ++calls;
+      elapsed_s = std::chrono::duration<double>(clock::now() - start).count();
+    } while (elapsed_s < min_time_s);
+    return elapsed_s * 1e9 / static_cast<double>(calls);
+  };
+  a();
+  b();
+  PairedTimes t;
+  for (int i = 0; i < pairs; ++i) {
+    t.a_ns.push_back(ns_per_call(a));
+    t.b_ns.push_back(ns_per_call(b));
+  }
+  return t;
+}
 
 }  // namespace
 
@@ -133,16 +204,22 @@ int main(int argc, char** argv) {
                 speedup, max_dp, pruned_report.max_error_bound_db,
                 pruned.mean_kept_leakage(), kM - 1);
 
-  // Phase 3: thread scaling of the pruned fleet evaluation.
+  // Phase 3: thread scaling of the pruned fleet evaluation, 1-worker and
+  // n-worker repetitions interleaved.
   for (int threads : {2, 4}) {
-    const std::string name =
-        "city_eval_pruned_m256_t" + std::to_string(threads);
-    const bench::BenchResult tn = bench::run_bench(name, [&] {
-      sink = sink + pruned.evaluate(pruned_scenario.biases, threads)
-                        .power.back().value();
-    });
+    const PairedTimes times = run_paired(
+        [&] {
+          sink = sink + pruned.evaluate(pruned_scenario.biases, 1)
+                            .power.back().value();
+        },
+        [&] {
+          sink = sink + pruned.evaluate(pruned_scenario.biases, threads)
+                            .power.back().value();
+        });
+    const bench::BenchResult tn = median_result(
+        "city_eval_pruned_m256_t" + std::to_string(threads), times.b_ns);
     const double efficiency =
-        pruned_t1.ns_per_op / (static_cast<double>(threads) * tn.ns_per_op);
+        times.median_ratio() / static_cast<double>(threads);
     bench::print_result(
         tn, json,
         ",\"per_device_ns\":" + std::to_string(tn.ns_per_op / n) +
@@ -239,6 +316,46 @@ int main(int argc, char** argv) {
                 extra;
       bench::print_result(r, json, extra);
     }
+  }
+
+  // Phase 7: assign (serving lookup, pyramid descent, scene construction)
+  // must cost O(kept + log M) per device, not O(M). Time a 4096-device
+  // assign in a 256- and a 4096-surface city at one worker, interleaved.
+  {
+    core::CityScaleScenario small =
+        core::city_scale_scenario(kM, kN, kCityCutoffDb);
+    core::CityScaleScenario large =
+        core::city_scale_scenario(4096, kN, kCityCutoffDb);
+    small.config.threads = 1;
+    large.config.threads = 1;
+    deploy::CityFleetEngine small_engine{small.config};
+    deploy::CityFleetEngine large_engine{large.config};
+    const PairedTimes times = run_paired(
+        [&] {
+          large_engine.assign(large.devices);
+          sink = sink + large_engine.mean_kept_leakage();
+        },
+        [&] {
+          small_engine.assign(small.devices);
+          sink = sink + small_engine.mean_kept_leakage();
+        });
+    const double ratio = times.median_ratio();
+    const auto line = [&](const char* name, const std::vector<double>& ns,
+                          const deploy::CityFleetEngine& engine,
+                          const std::string& prefix) {
+      const bench::BenchResult r = median_result(name, ns);
+      bench::print_result(
+          r, json,
+          prefix + ",\"per_device_ns\":" + std::to_string(r.ns_per_op / n) +
+              ",\"mean_kept_leakage\":" +
+              std::to_string(engine.mean_kept_leakage()) +
+              bench::threads_extra_json(1));
+    };
+    line("city_assign_m256", times.b_ns, small_engine, "");
+    line("city_assign_m4096", times.a_ns, large_engine,
+         ",\"ns_ratio_vs_m256\":" + std::to_string(ratio));
+    if (!json)
+      std::printf("  -> assign per device M=4096/M=256: %.2fx\n", ratio);
   }
   return 0;
 }

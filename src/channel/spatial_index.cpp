@@ -1,8 +1,9 @@
 #include "src/channel/spatial_index.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -16,6 +17,113 @@ namespace {
 /// finite path length.
 constexpr double kMinLegM = 1e-3;
 
+/// Mounts must lie within this many cells of the origin: it keeps the
+/// integer cell coordinates exact and a cell's offset from the grid corner
+/// in 32 bits, so Morton codes fit 64 bits and the pyramid 33 levels.
+constexpr double kMaxGridCoord = 1073741824.0;  // 2^30
+
+/// A block is pruned whole only when its amplitude bound sits this far
+/// (20 dB) below the cutoff. Blocks inside the margin open down to their
+/// cells, whose surfaces run the per-surface test: that keeps every
+/// keep/prune decision the per-surface one, and keeps the loose block terms
+/// away from the paths just under the cutoff that dominate the pruned mass.
+constexpr double kBlockMargin = 0.1;
+
+/// ...and only when its mount box's diagonal is shorter than this multiple
+/// of the serving mount's distance to the box, so a block term overstates
+/// the surfaces under it by a bounded factor. Above 0.7, randomized layouts
+/// with steep roll-offs loosen the pruned mass past 1.5x of the
+/// per-surface sum; below it the descent visits more blocks per level.
+constexpr double kOpeningRatio = 0.7;
+
+/// log2(1 + i/128) rounded down and 2^(-i/128) rounded up, i in [0, 128).
+struct OctaveTables {
+  std::array<double, 128> log2_floor{};
+  std::array<double, 128> exp2_neg_ceil{};
+
+  OctaveTables() {
+    const double inf = std::numeric_limits<double>::infinity();
+    log2_floor[0] = 0.0;
+    exp2_neg_ceil[0] = 1.0;
+    for (std::size_t i = 1; i < 128; ++i) {
+      const double step = static_cast<double>(i) / 128.0;
+      log2_floor[i] = std::nextafter(std::log2(1.0 + step), -inf);
+      exp2_neg_ceil[i] = std::nextafter(std::exp2(-step), inf);
+    }
+  }
+};
+
+/// An upper bound of SurfaceLayout::coupling_at for the descent's block
+/// terms, without std::pow: at most a factor 2^((1.5 * exponent + 1) / 128)
+/// (2.2% at exponent 2) above it. Past the reference distance coupling_at is
+/// coupling0 * 2^-y with y = exponent * log2(hop / ref); the log2 is rounded
+/// down to 1/128 of an octave (exponent bits plus a mantissa table) and
+/// 2^-frac(y) rounded up to 1/128 of an octave (a table plus the exponent
+/// bits of 2^-floor(y)).
+class CouplingCeiling {
+ public:
+  explicit CouplingCeiling(const SurfaceLayout& layout)
+      : coupling0_(layout.coupling0),
+        ref_m_(layout.sidelobe_ref_m),
+        inv_ref_(1.0 / layout.sidelobe_ref_m),
+        exponent_(layout.sidelobe_exponent) {}
+
+  double operator()(double hop_m) const {
+    if (hop_m <= ref_m_) return coupling0_;
+    // hop / ref = 1.m * 2^e > 1: e and the top 7 bits of m from the bits.
+    const auto bits = std::bit_cast<std::uint64_t>(hop_m * inv_ref_);
+    const double log2_floor =
+        static_cast<double>(static_cast<std::int64_t>(bits >> 52) - 1023) +
+        tables_.log2_floor[(bits >> 45) & 127];
+    // Shaved by 2^-40 (relative, plus exponent * 2^-40) so the rounding of
+    // the ratio (two roundings), the sum and the product can never raise y.
+    const double y = exponent_ * log2_floor * (1.0 - 0x1p-40) -
+                     exponent_ * 0x1p-40;
+    if (!(y > 0.0)) return coupling0_;
+    if (y >= 1022.0) return coupling0_ * 0x1p-1022;  // 2^-y's ceiling
+    const auto whole = static_cast<std::int64_t>(y);  // floor: y > 0
+    const double scale =
+        std::bit_cast<double>(static_cast<std::uint64_t>(1023 - whole) << 52);
+    return coupling0_ * scale *
+           tables_.exp2_neg_ceil[static_cast<std::size_t>(
+               (y - static_cast<double>(whole)) * 128.0)];
+  }
+
+ private:
+  static const OctaveTables& tables() {
+    static const OctaveTables t;
+    return t;
+  }
+
+  const OctaveTables& tables_ = tables();
+  double coupling0_;
+  double ref_m_;
+  double inv_ref_;
+  double exponent_;
+};
+
+/// Interleaves the low 32 bits of u (even bits) and v (odd bits).
+std::uint64_t morton(std::uint64_t u, std::uint64_t v) {
+  const auto spread = [](std::uint64_t x) {
+    x &= 0xFFFFFFFFULL;
+    x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
+    x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
+    x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    x = (x | (x << 2)) & 0x3333333333333333ULL;
+    x = (x | (x << 1)) & 0x5555555555555555ULL;
+    return x;
+  };
+  return spread(u) | (spread(v) << 1);
+}
+
+/// Squared distance from `p` to a pyramid block's mount box (0 inside).
+template <typename Box>
+double box_distance2(const Point2& p, const Box& b) {
+  const double dx = std::max({b.x0 - p.x_m, p.x_m - b.x1, 0.0});
+  const double dy = std::max({b.y0 - p.y_m, p.y_m - b.y1, 0.0});
+  return dx * dx + dy * dy;
+}
+
 }  // namespace
 
 double distance_m(const Point2& a, const Point2& b) {
@@ -28,20 +136,46 @@ double SurfaceLayout::coupling_at(double hop_m) const {
   return coupling0 * std::pow(sidelobe_ref_m / hop, sidelobe_exponent);
 }
 
+void SurfaceLayout::validate() const {
+  if (std::isnan(prune.cutoff_db))
+    throw std::invalid_argument{"SurfaceLayout: prune.cutoff_db is NaN"};
+  if (!std::isfinite(coupling0) || coupling0 < 0.0)
+    throw std::invalid_argument{
+        "SurfaceLayout: coupling0 must be finite and >= 0"};
+  if (!std::isfinite(sidelobe_ref_m) || !(sidelobe_ref_m > 0.0))
+    throw std::invalid_argument{
+        "SurfaceLayout: sidelobe_ref_m must be finite and > 0"};
+  if (!std::isfinite(sidelobe_exponent) || sidelobe_exponent < 0.0)
+    throw std::invalid_argument{
+        "SurfaceLayout: sidelobe_exponent must be finite and >= 0"};
+}
+
 SpatialSurfaceIndex::SpatialSurfaceIndex(const std::vector<Point2>& positions,
                                          double cell_size_m)
-    : cell_size_m_(cell_size_m), positions_(positions) {
+    : cell_size_m_(cell_size_m) {
   if (positions.empty())
     throw std::invalid_argument{"SpatialSurfaceIndex: no surface positions"};
-  if (!(cell_size_m > 0.0))
-    throw std::invalid_argument{"SpatialSurfaceIndex: cell size must be > 0"};
+  if (!std::isfinite(cell_size_m) || !(cell_size_m > 0.0))
+    throw std::invalid_argument{
+        "SpatialSurfaceIndex: cell size must be finite and > 0"};
+  if (positions.size() >= std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument{"SpatialSurfaceIndex: too many surfaces"};
 
   // Occupied grid cells sorted by (cy, cx): the cell ordinal — the frozen-
   // aggregation and shard-ownership granule — is a pure function of the
   // positions, independent of construction or thread interleaving.
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const std::int64_t cx = grid_x(positions_[i].x_m);
-    const std::int64_t cy = grid_y(positions_[i].y_m);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const Point2& p = positions[i];
+    if (!std::isfinite(p.x_m) || !std::isfinite(p.y_m))
+      throw std::invalid_argument{
+          "SpatialSurfaceIndex: surface position is not finite"};
+    const double gx = grid_coord(p.x_m);
+    const double gy = grid_coord(p.y_m);
+    if (std::abs(gx) > kMaxGridCoord || std::abs(gy) > kMaxGridCoord)
+      throw std::invalid_argument{
+          "SpatialSurfaceIndex: surface lies outside the grid's range"};
+    const auto cx = static_cast<std::int64_t>(gx);
+    const auto cy = static_cast<std::int64_t>(gy);
     const auto it = std::lower_bound(
         cells_.begin(), cells_.end(), std::pair{cy, cx},
         [](const Cell& c, const std::pair<std::int64_t, std::int64_t>& key) {
@@ -57,21 +191,100 @@ SpatialSurfaceIndex::SpatialSurfaceIndex(const std::vector<Point2>& positions,
       cells_.insert(it, std::move(cell));
     }
   }
-  cell_of_.assign(positions_.size(), -1);
+  cell_of_.assign(positions.size(), -1);
   for (std::size_t c = 0; c < cells_.size(); ++c)
     for (std::size_t s : cells_[c].surfaces)
       cell_of_[s] = static_cast<std::int32_t>(c);
   LLAMA_ENSURES(std::none_of(cell_of_.begin(), cell_of_.end(),
                              [](std::int32_t c) { return c < 0; }),
                 "every surface lands in exactly one occupied cell");
+
+  gx0_ = gx1_ = cells_.front().cx;
+  gy0_ = cells_.front().cy;
+  gy1_ = cells_.back().cy;
+  for (const Cell& c : cells_) {
+    gx0_ = std::min(gx0_, c.cx);
+    gx1_ = std::max(gx1_, c.cx);
+  }
+  build_pyramid(positions);
 }
 
-std::int64_t SpatialSurfaceIndex::grid_x(double x_m) const {
-  return static_cast<std::int64_t>(std::floor(x_m / cell_size_m_));
+void SpatialSurfaceIndex::build_pyramid(const std::vector<Point2>& positions) {
+  // Leaves: one block per occupied cell, in Morton order of the cell's
+  // offset from the bounding box corner.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+  order.reserve(cells_.size());
+  for (std::size_t c = 0; c < cells_.size(); ++c)
+    order.emplace_back(
+        morton(static_cast<std::uint64_t>(cells_[c].cx - gx0_),
+               static_cast<std::uint64_t>(cells_[c].cy - gy0_)),
+        c);
+  std::sort(order.begin(), order.end());
+
+  std::vector<std::uint64_t> keys;
+  keys.reserve(order.size());
+  blocks_.reserve(2 * cells_.size());
+  leaf_entries_.reserve(positions.size());
+  cell_leaf_.assign(cells_.size(), 0);
+  for (const auto& [key, c] : order) {
+    const std::vector<std::size_t>& surfaces = cells_[c].surfaces;
+    Block b;
+    b.x0 = b.x1 = positions[surfaces.front()].x_m;
+    b.y0 = b.y1 = positions[surfaces.front()].y_m;
+    b.first = static_cast<std::uint32_t>(leaf_entries_.size());
+    for (std::size_t s : surfaces) {
+      const Point2& p = positions[s];
+      b.x0 = std::min(b.x0, p.x_m);
+      b.x1 = std::max(b.x1, p.x_m);
+      b.y0 = std::min(b.y0, p.y_m);
+      b.y1 = std::max(b.y1, p.y_m);
+      leaf_entries_.push_back(LeafEntry{p, static_cast<std::uint32_t>(s)});
+    }
+    b.last = static_cast<std::uint32_t>(leaf_entries_.size());
+    b.count = b.last - b.first;
+    cell_leaf_[c] = static_cast<std::uint32_t>(blocks_.size());
+    blocks_.push_back(b);
+    keys.push_back(key);
+  }
+  leaf_blocks_ = blocks_.size();
+
+  // Each level groups the previous one's blocks by Morton code >> 2 (the
+  // 2x2 parent block); codes are sorted, so every group is contiguous. The
+  // codes reach 0 after at most 32 levels, leaving the single root.
+  std::size_t level_begin = 0;
+  while (blocks_.size() - level_begin > 1) {
+    const std::size_t level_end = blocks_.size();
+    std::vector<std::uint64_t> parent_keys;
+    for (std::size_t i = level_begin; i < level_end;) {
+      const std::uint64_t key = keys[i - level_begin] >> 2;
+      Block parent = blocks_[i];
+      parent.first = static_cast<std::uint32_t>(i);
+      parent.count = 0;
+      std::size_t j = i;
+      for (; j < level_end && (keys[j - level_begin] >> 2) == key; ++j) {
+        const Block& child = blocks_[j];
+        parent.x0 = std::min(parent.x0, child.x0);
+        parent.x1 = std::max(parent.x1, child.x1);
+        parent.y0 = std::min(parent.y0, child.y0);
+        parent.y1 = std::max(parent.y1, child.y1);
+        parent.count += child.count;
+      }
+      parent.last = static_cast<std::uint32_t>(j);
+      blocks_.push_back(parent);
+      parent_keys.push_back(key);
+      i = j;
+    }
+    keys = std::move(parent_keys);
+    level_begin = level_end;
+  }
+  for (Block& b : blocks_)
+    b.diag2 = (b.x1 - b.x0) * (b.x1 - b.x0) + (b.y1 - b.y0) * (b.y1 - b.y0);
+  LLAMA_ENSURES(blocks_.back().count == positions.size(),
+                "the pyramid root holds every surface");
 }
 
-std::int64_t SpatialSurfaceIndex::grid_y(double y_m) const {
-  return static_cast<std::int64_t>(std::floor(y_m / cell_size_m_));
+double SpatialSurfaceIndex::grid_coord(double v_m) const {
+  return std::floor(v_m / cell_size_m_);
 }
 
 std::int32_t SpatialSurfaceIndex::find_cell(std::int64_t cx,
@@ -99,20 +312,30 @@ const std::vector<std::size_t>& SpatialSurfaceIndex::surfaces_in_cell(
 }
 
 std::size_t SpatialSurfaceIndex::nearest(const Point2& p) const {
-  const std::int64_t px = grid_x(p.x_m);
-  const std::int64_t py = grid_y(p.y_m);
-  // The grid's occupied bounding box caps the ring search for devices far
-  // outside the deployment.
-  std::int64_t max_ring = 0;
-  for (const Cell& c : cells_)
-    max_ring = std::max({max_ring, std::abs(c.cx - px), std::abs(c.cy - py)});
+  if (!std::isfinite(p.x_m) || !std::isfinite(p.y_m))
+    throw std::invalid_argument{
+        "SpatialSurfaceIndex: query position is not finite"};
+  // Start from p's cell clamped into the occupied bounding box. Clamping
+  // projects p onto a convex set that holds every mount, so no mount is
+  // nearer to p than to the clamped point, and the ring floor below holds.
+  const auto px = static_cast<std::int64_t>(
+      std::clamp(grid_coord(p.x_m), static_cast<double>(gx0_),
+                 static_cast<double>(gx1_)));
+  const auto py = static_cast<std::int64_t>(
+      std::clamp(grid_coord(p.y_m), static_cast<double>(gy0_),
+                 static_cast<double>(gy1_)));
+  const std::int64_t max_ring =
+      std::max({px - gx0_, gx1_ - px, py - gy0_, gy1_ - py});
 
   double best_d = std::numeric_limits<double>::infinity();
   std::size_t best = 0;
-  const auto scan = [&](std::int32_t cell) {
+  const auto scan = [&](std::int64_t cx, std::int64_t cy) {
+    const std::int32_t cell = find_cell(cx, cy);
     if (cell < 0) return;
-    for (std::size_t s : cells_[static_cast<std::size_t>(cell)].surfaces) {
-      const double d = distance_m(p, positions_[s]);
+    const Block& leaf = blocks_[cell_leaf_[static_cast<std::size_t>(cell)]];
+    for (std::uint32_t k = leaf.first; k < leaf.last; ++k) {
+      const std::size_t s = leaf_entries_[k].id;
+      const double d = distance_m(p, leaf_entries_[k].p);
       // Strict < plus ascending per-cell ids: ties resolve to the lowest
       // surface id, deterministically.
       if (d < best_d || (d == best_d && s < best)) {
@@ -126,16 +349,21 @@ std::size_t SpatialSurfaceIndex::nearest(const Point2& p) const {
     // from p, so once a candidate beats that floor the search is complete.
     if (best_d < static_cast<double>(ring - 1) * cell_size_m_) break;
     if (ring == 0) {
-      scan(find_cell(px, py));
+      scan(px, py);
       continue;
     }
-    for (std::int64_t cx = px - ring; cx <= px + ring; ++cx) {
-      scan(find_cell(cx, py - ring));
-      scan(find_cell(cx, py + ring));
+    // Only the part of the ring inside the bounding box can hold mounts.
+    const std::int64_t x_lo = std::max(px - ring, gx0_);
+    const std::int64_t x_hi = std::min(px + ring, gx1_);
+    const std::int64_t y_lo = std::max(py - ring + 1, gy0_);
+    const std::int64_t y_hi = std::min(py + ring - 1, gy1_);
+    for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
+      if (py - ring >= gy0_) scan(cx, py - ring);
+      if (py + ring <= gy1_) scan(cx, py + ring);
     }
-    for (std::int64_t cy = py - ring + 1; cy <= py + ring - 1; ++cy) {
-      scan(find_cell(px - ring, cy));
-      scan(find_cell(px + ring, cy));
+    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
+      if (px - ring >= gx0_) scan(px - ring, cy);
+      if (px + ring <= gx1_) scan(px + ring, cy);
     }
   }
   LLAMA_ENSURES(best_d < std::numeric_limits<double>::infinity(),
@@ -155,41 +383,89 @@ CitySceneBuild build_city_scene_spec(const SpatialSurfaceIndex& index,
 
   CitySceneBuild out;
   out.serving = serving;
-  out.serving_distance_m =
-      std::max(distance_m(device_pos, layout.positions[serving]), kMinLegM);
+  const Point2 home = layout.positions[serving];
+  const Point2 device = device_pos;
+  out.serving_distance_m = std::max(distance_m(device, home), kMinLegM);
   const double serving_len = tx_back_m + out.serving_distance_m;
   // Amplitude ratio floor implied by the dB cutoff; -infinity maps to 0,
   // which keeps every path (the dense scene).
   const double floor_ratio = std::pow(10.0, layout.prune.cutoff_db / 20.0);
+  const double block_floor = floor_ratio * kBlockMargin;
+  const CouplingCeiling ceiling{layout};
+  // Locals, not spec fields, so the stores cannot alias the geometry the
+  // loop reads.
+  double pruned_mass = 0.0;
+  std::size_t pruned_count = 0;
+  std::vector<PlacedLeakageSpec>& placed = out.spec.placed;
 
-  out.spec.placed.reserve(layout.positions.size() - 1);
-  for (std::size_t s = 0; s < layout.positions.size(); ++s) {
-    if (s == serving) continue;
-    const double hop =
-        std::max(distance_m(layout.positions[serving], layout.positions[s]),
-                 kMinLegM);
-    const double tail =
-        std::max(distance_m(layout.positions[s], device_pos), kMinLegM);
-    const double len = hop + tail;
-    const double coupling = layout.coupling_at(hop);
-    // Frequency-independent relative amplitude bound: both this path and
-    // the serving path carry the same lambda/(4 pi) Friis prefactor, the
-    // surface response norm is <= 1 (passive) and the endpoint pattern
-    // factor is <= 1, so coupling * serving_len / len bounds the ratio at
-    // every carrier.
-    const double relative_amplitude = coupling * serving_len / len;
-    if (relative_amplitude >= floor_ratio) {
-      PlacedLeakageSpec placed;
-      placed.path_length_m = len;
-      placed.coupling = coupling;
-      placed.cell = index.cell_of(s);
-      placed.external_id = s;
-      out.spec.placed.push_back(placed);
-    } else {
-      out.spec.pruned_coupling_over_length += coupling / len;
-      ++out.spec.pruned_count;
+  // Prunes block `id` whole when it is small next to its distance from the
+  // serving mount and its bound sits below the margin; false when it must
+  // be opened. The opening test runs first: it needs no square root and no
+  // coupling, and its strict < keeps the serving surface's own blocks
+  // (hmin = 0) open.
+  const auto prune_whole = [&](std::uint32_t id) {
+    const SpatialSurfaceIndex::Block& b = index.blocks_[id];
+    const double h2 = box_distance2(home, b);
+    if (!(b.diag2 < kOpeningRatio * kOpeningRatio * h2)) return false;
+    const double hop = std::max(std::sqrt(h2), kMinLegM);
+    const double len =
+        hop + std::max(std::sqrt(box_distance2(device, b)), kMinLegM);
+    const double unit = ceiling(hop) / len;
+    // unit * serving_len bounds every path in the block.
+    if (!(unit * serving_len < block_floor)) return false;
+    pruned_mass += static_cast<double>(b.count) * unit;
+    pruned_count += b.count;
+    return true;
+  };
+
+  // Depth-first descent: the stack holds blocks to open. Opening a block
+  // tests all its children and pushes the ones that must open in turn: it
+  // holds at most 3 per level plus 1 (33 levels at most).
+  std::array<std::uint32_t, 128> stack;
+  std::size_t depth = 0;
+  const auto root = static_cast<std::uint32_t>(index.blocks_.size() - 1);
+  if (!prune_whole(root)) stack[depth++] = root;
+  while (depth > 0) {
+    const std::uint32_t id = stack[--depth];
+    const SpatialSurfaceIndex::Block& b = index.blocks_[id];
+    if (id >= index.leaf_blocks_) {
+      LLAMA_INVARIANT(depth + (b.last - b.first) <= stack.size(),
+                      "the descent stack fits the pyramid's depth");
+      for (std::uint32_t c = b.last; c-- > b.first;)
+        if (!prune_whole(c)) stack[depth++] = c;
+      continue;
+    }
+    for (std::uint32_t k = b.first; k < b.last; ++k) {
+      const SpatialSurfaceIndex::LeafEntry& e = index.leaf_entries_[k];
+      const std::size_t s = e.id;
+      if (s == serving) continue;
+      const double s_hop = std::max(distance_m(home, e.p), kMinLegM);
+      const double s_len = s_hop + std::max(distance_m(e.p, device), kMinLegM);
+      const double s_coupling = layout.coupling_at(s_hop);
+      // Frequency-independent relative amplitude bound: both this path and
+      // the serving path carry the same lambda/(4 pi) Friis prefactor, the
+      // surface response norm is <= 1 (passive) and the endpoint pattern
+      // factor is <= 1, so coupling * serving_len / len bounds the ratio at
+      // every carrier.
+      if (s_coupling * serving_len / s_len >= floor_ratio) {
+        PlacedLeakageSpec entry;
+        entry.path_length_m = s_len;
+        entry.coupling = s_coupling;
+        entry.cell = index.cell_of_[s];
+        entry.external_id = s;
+        placed.push_back(entry);
+      } else {
+        pruned_mass += s_coupling / s_len;
+        ++pruned_count;
+      }
     }
   }
+  std::sort(placed.begin(), placed.end(),
+            [](const PlacedLeakageSpec& a, const PlacedLeakageSpec& b) {
+              return a.external_id < b.external_id;
+            });
+  out.spec.pruned_coupling_over_length = pruned_mass;
+  out.spec.pruned_count = pruned_count;
   return out;
 }
 

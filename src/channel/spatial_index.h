@@ -9,24 +9,48 @@
 //    positions. Cell ordinals, per-cell surface order and nearest() results
 //    are pure functions of the positions (never of thread count or
 //    insertion order), which is what lets cell -> shard assignment preserve
-//    the byte-identical-for-any-thread-count invariant.
+//    the byte-identical-for-any-thread-count invariant. Over the occupied
+//    cells sits a block pyramid (a quadtree in Morton order): every block
+//    stores its surface count and the bounding box of its mounts.
 //
 //  - build_city_scene_spec(): emits a per-device SceneSpec whose placed
 //    leakage entries keep only the paths whose worst-case amplitude,
 //    relative to the serving path, clears a configurable cutoff (default
 //    -40 dB). The relative amplitude bound coupling * d_serve / len is
 //    frequency independent (both amplitudes carry the same lambda/4pi), so
-//    one build-time decision is valid at every carrier.
+//    one build-time decision is valid at every carrier. The build is one
+//    descent of the pyramid, so it costs O(kept + log M) blocks per device
+//    rather than a test of every surface.
 //
 // Error bound (the provable part): each pruned path's received-field
 // amplitude is at most coupling/len * friis_amplitude(f, 1 m) * |tx state|
 // * sqrt(rx boresight gain), because a passive surface response has
 // ||R|| <= 1 (em::JonesMatrix::norm_bound) and the endpoint pattern factor
 // is <= 1. By the triangle inequality the dense and pruned fields differ
-// by at most the SUM of those bounds, so with P in mW (interference floor
-// subtracted) |sqrt(P_dense) - sqrt(P_pruned)| <=
-// PropagationScene::pruned_field_bound(). The randomized property suite in
-// tests/channel/test_spatial_index.cpp checks exactly this inequality.
+// by at most the SUM of those bounds. The descent accumulates that sum
+// (SceneSpec::pruned_coupling_over_length) from two kinds of term:
+//
+//  - an exact term coupling_at(hop) / (hop + tail) for each surface the
+//    descent tests one by one (the cells near the cutoff), and
+//  - one upper-bound term count * c(hmin) / (hmin + tmin) per block pruned
+//    whole, where hmin / tmin are the serving mount's / the device's
+//    distances to the block's mount box and c >= coupling_at is a
+//    pow-free ceiling of it (within 2^((1.5 * exponent + 1) / 128)). Every
+//    surface in the block has hop >= hmin and tail >= tmin, and coupling_at
+//    is non-increasing in the hop (sidelobe_exponent >= 0), so the term
+//    dominates the block's exact terms.
+//
+// A block is pruned whole only when that bound sits 20 dB below the cutoff
+// (so no keep/prune decision differs from the per-surface test) and its
+// box is small next to hmin (so the term stays close to the exact sum:
+// within 1.5x of the per-surface sum on the randomized layouts of the test
+// suite, ~1.1x fleet-wide on the benchmark city). The sum is therefore
+// still an upper bound of the pruned mass (looser than the per-surface
+// sum, never smaller), so with P in mW (interference floor subtracted)
+// |sqrt(P_dense) - sqrt(P_pruned)| <= PropagationScene::pruned_field_bound().
+// The randomized property suite in tests/channel/test_spatial_index.cpp
+// checks exactly this inequality, and checks the descent's kept set, pruned
+// count and pruned mass against the per-surface reference build.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +103,33 @@ struct SurfaceLayout {
   [[nodiscard]] bool empty() const { return positions.empty(); }
   /// coupling(r) above; the amplitude model build_city_scene_spec applies.
   [[nodiscard]] double coupling_at(double hop_m) const;
+  /// Throws std::invalid_argument for a leakage model the pruning bound
+  /// cannot rely on: a NaN cutoff_db (+-infinity stay legal), a non-finite
+  /// or negative coupling0, a non-finite or non-positive sidelobe_ref_m, or
+  /// a non-finite or negative sidelobe_exponent (which would make
+  /// coupling_at grow with distance). Positions and the cell size are
+  /// checked by SpatialSurfaceIndex.
+  void validate() const;
 };
+
+struct CitySceneBuild;
+class SpatialSurfaceIndex;
+
+/// Scene spec for a device at `device_pos` served by surface `serving`:
+/// one placed leakage entry per other surface whose relative amplitude
+/// bound coupling * d_serve / len clears layout.prune.cutoff_db, ascending
+/// by deployment id; the rest are pruned into
+/// spec.pruned_coupling_over_length (the error-bound accumulator, see the
+/// file comment) and counted exactly in spec.pruned_count. `tx_back_m` is
+/// the AP-to-mount distance added to the serving distance (the AP sits just
+/// behind its transmissive surface). One descent of the index's block
+/// pyramid: blocks far below the cutoff are pruned whole, the surfaces of
+/// the cells near it are tested one by one. `index` must be built from
+/// layout.positions (the descent reads the mounts it stores). Pruning
+/// depends only on the layout — never on thread count.
+[[nodiscard]] CitySceneBuild build_city_scene_spec(
+    const SpatialSurfaceIndex& index, const SurfaceLayout& layout,
+    std::size_t serving, const Point2& device_pos, double tx_back_m);
 
 /// Deterministic uniform grid over surface mount positions. Cells are
 /// dense ordinals [0, cell_count) ordered by (cell row, cell column);
@@ -87,7 +137,9 @@ struct SurfaceLayout {
 class SpatialSurfaceIndex {
  public:
   SpatialSurfaceIndex() = default;
-  /// Throws std::invalid_argument on empty positions or cell_size <= 0.
+  /// Throws std::invalid_argument on empty positions, a non-finite or
+  /// non-positive cell size, a non-finite position, or a mount more than
+  /// 2^30 cells from the origin.
   SpatialSurfaceIndex(const std::vector<Point2>& positions,
                       double cell_size_m);
 
@@ -102,26 +154,68 @@ class SpatialSurfaceIndex {
       std::int32_t cell) const;
 
   /// Nearest surface to `p` (ties broken toward the lowest id). Searches
-  /// outward ring by ring from p's cell, so cost is O(local density), not
-  /// O(M).
+  /// outward ring by ring from p's cell (clamped into the occupied grid's
+  /// bounding box) and scans only the cells inside that box, so cost is
+  /// O(local density), not O(M). Throws std::invalid_argument for a
+  /// non-finite `p`.
   [[nodiscard]] std::size_t nearest(const Point2& p) const;
 
  private:
+  friend CitySceneBuild build_city_scene_spec(const SpatialSurfaceIndex&,
+                                              const SurfaceLayout&,
+                                              std::size_t, const Point2&,
+                                              double);
+
   struct Cell {
     std::int64_t cx = 0;
     std::int64_t cy = 0;
     std::vector<std::size_t> surfaces;
   };
 
-  [[nodiscard]] std::int64_t grid_x(double x_m) const;
-  [[nodiscard]] std::int64_t grid_y(double y_m) const;
+  /// One pyramid block: the surfaces under it and their mounts' bounding
+  /// box. A level-0 block (a leaf) is one occupied cell and [first, last)
+  /// indexes leaf_entries_; above it [first, last) indexes its child blocks
+  /// in blocks_.
+  struct Block {
+    double x0 = 0.0;
+    double y0 = 0.0;
+    double x1 = 0.0;
+    double y1 = 0.0;
+    double diag2 = 0.0;  ///< squared diagonal of the box
+    std::uint32_t count = 0;
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
+
+  /// Grid coordinate of a position component, floor(v / cell_size).
+  [[nodiscard]] double grid_coord(double v_m) const;
   /// Ordinal of grid cell (cx, cy); -1 when empty.
   [[nodiscard]] std::int32_t find_cell(std::int64_t cx, std::int64_t cy) const;
+  void build_pyramid(const std::vector<Point2>& positions);
+
+  /// One mount under a leaf block.
+  struct LeafEntry {
+    Point2 p;
+    std::uint32_t id = 0;
+  };
 
   double cell_size_m_ = 0.0;
-  std::vector<Point2> positions_;
   std::vector<Cell> cells_;           ///< sorted by (cy, cx)
   std::vector<std::int32_t> cell_of_; ///< per surface
+  /// Occupied grid bounding box (inclusive cell coordinates).
+  std::int64_t gx0_ = 0;
+  std::int64_t gx1_ = 0;
+  std::int64_t gy0_ = 0;
+  std::int64_t gy1_ = 0;
+  /// Pyramid levels, leaves (one per occupied cell, Morton order) first and
+  /// the root last; each level's blocks are in Morton order, so a parent's
+  /// children are contiguous.
+  std::vector<Block> blocks_;
+  std::size_t leaf_blocks_ = 0;
+  /// Mounts per leaf block, ascending by id within each cell: the cells'
+  /// positions stored contiguously, for the descent and nearest().
+  std::vector<LeafEntry> leaf_entries_;
+  std::vector<std::uint32_t> cell_leaf_; ///< leaf block per cell ordinal
 };
 
 /// Result of building one device's pruned scene description.
@@ -130,16 +224,5 @@ struct CitySceneBuild {
   std::size_t serving = 0;     ///< deployment id of the serving surface
   double serving_distance_m = 0.0;
 };
-
-/// Scene spec for a device at `device_pos` served by surface `serving`:
-/// one placed leakage entry per other surface whose relative amplitude
-/// bound coupling * d_serve / len clears layout.prune.cutoff_db; the rest
-/// are pruned into spec.pruned_coupling_over_length (the error-bound
-/// accumulator). `tx_back_m` is the AP-to-mount distance added to the
-/// serving distance (the AP sits just behind its transmissive surface).
-/// Pruning depends only on the layout — never on thread count.
-[[nodiscard]] CitySceneBuild build_city_scene_spec(
-    const SpatialSurfaceIndex& index, const SurfaceLayout& layout,
-    std::size_t serving, const Point2& device_pos, double tx_back_m);
 
 }  // namespace llama::channel

@@ -24,6 +24,7 @@ const DeploymentConfig& validated_city_config(const DeploymentConfig& config) {
     throw std::invalid_argument{
         "CityFleetEngine: city deployments model transmissive surfaces "
         "with the AP mounted behind each one"};
+  config.layout.validate();
   return config;
 }
 
@@ -47,6 +48,10 @@ void CityFleetEngine::assign(const std::vector<DeviceSpec>& devices) {
     if (!spec.position)
       throw std::invalid_argument{
           "CityFleetEngine: every device needs a position"};
+    if (!std::isfinite(spec.position->x_m) ||
+        !std::isfinite(spec.position->y_m))
+      throw std::invalid_argument{
+          "CityFleetEngine: device position is not finite"};
     std::size_t serving;
     if (spec.surface >= 0) {
       serving = static_cast<std::size_t>(spec.surface);

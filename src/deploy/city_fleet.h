@@ -59,15 +59,17 @@ struct CityEvalReport {
 /// M placed surfaces, N positioned devices, pruned scenes, cell shards.
 class CityFleetEngine {
  public:
-  /// Requires a transmissive geometry and a layout whose positions match
-  /// config.n_surfaces; throws std::invalid_argument otherwise.
+  /// Requires a transmissive geometry, a layout whose positions match
+  /// config.n_surfaces and are finite, and a leakage model that passes
+  /// SurfaceLayout::validate(); throws std::invalid_argument otherwise.
   explicit CityFleetEngine(DeploymentConfig config,
                            metasurface::RotatorStack stack =
                                metasurface::prototype_fr4_design());
 
   /// Builds each device's serving assignment, geometry and pruned scene.
-  /// Every device needs a position (std::invalid_argument otherwise); an
-  /// explicit DeviceSpec::surface overrides nearest-surface serving.
+  /// Every device needs a finite position (std::invalid_argument
+  /// otherwise); an explicit DeviceSpec::surface overrides nearest-surface
+  /// serving.
   /// Deterministic: assignments depend only on the layout and roster.
   void assign(const std::vector<DeviceSpec>& devices);
 

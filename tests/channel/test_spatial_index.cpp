@@ -1,6 +1,8 @@
 // SpatialSurfaceIndex + build-time pruning contracts: the index is a pure
 // deterministic function of the positions (nearest matches brute force,
-// cells partition the id space), and the pruning error bound is PROVABLE —
+// cells partition the id space), the pyramid descent keeps exactly the
+// per-surface reference build's paths (reference_city_scene_spec below, the
+// O(M) loop the descent replaced), and the pruning error bound is PROVABLE —
 // for random cities, random passive responses and every fleet size, the
 // dense and pruned received fields never differ by more than
 // PropagationScene::pruned_field_bound, while a -infinity cutoff rebuilds
@@ -9,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/channel/propagation_scene.h"
@@ -37,11 +42,116 @@ std::vector<Point2> random_positions(common::Rng& rng, std::size_t m,
   return positions;
 }
 
+/// The per-surface O(M) build: every other surface tested one by one. The
+/// descent must keep exactly these paths, count exactly these pruned ones
+/// and never report less pruned mass.
+CitySceneBuild reference_city_scene_spec(const SpatialSurfaceIndex& index,
+                                         const SurfaceLayout& layout,
+                                         std::size_t serving,
+                                         const Point2& device_pos,
+                                         double tx_back_m) {
+  constexpr double kMinLegM = 1e-3;
+  CitySceneBuild out;
+  out.serving = serving;
+  out.serving_distance_m =
+      std::max(distance_m(device_pos, layout.positions[serving]), kMinLegM);
+  const double serving_len = tx_back_m + out.serving_distance_m;
+  const double floor_ratio = std::pow(10.0, layout.prune.cutoff_db / 20.0);
+  for (std::size_t s = 0; s < layout.positions.size(); ++s) {
+    if (s == serving) continue;
+    const double hop =
+        std::max(distance_m(layout.positions[serving], layout.positions[s]),
+                 kMinLegM);
+    const double tail =
+        std::max(distance_m(layout.positions[s], device_pos), kMinLegM);
+    const double len = hop + tail;
+    const double coupling = layout.coupling_at(hop);
+    if (coupling * serving_len / len >= floor_ratio) {
+      PlacedLeakageSpec placed;
+      placed.path_length_m = len;
+      placed.coupling = coupling;
+      placed.cell = index.cell_of(s);
+      placed.external_id = s;
+      out.spec.placed.push_back(placed);
+    } else {
+      out.spec.pruned_coupling_over_length += coupling / len;
+      ++out.spec.pruned_count;
+    }
+  }
+  return out;
+}
+
+/// Descent vs reference for one device: placed entries memcmp-identical
+/// field by field (the struct has padding), pruned count equal, pruned mass
+/// between the reference sum (up to summation order) and 1.5x it.
+void expect_descent_matches_reference(const SurfaceLayout& layout,
+                                      const Point2& device,
+                                      const std::string& label) {
+  const SpatialSurfaceIndex index{layout.positions, layout.prune.cell_size_m};
+  const std::size_t serving = index.nearest(device);
+  const CitySceneBuild got =
+      build_city_scene_spec(index, layout, serving, device, 0.5);
+  const CitySceneBuild want =
+      reference_city_scene_spec(index, layout, serving, device, 0.5);
+  ASSERT_EQ(got.spec.placed.size(), want.spec.placed.size()) << label;
+  for (std::size_t k = 0; k < got.spec.placed.size(); ++k) {
+    const PlacedLeakageSpec& a = got.spec.placed[k];
+    const PlacedLeakageSpec& b = want.spec.placed[k];
+    EXPECT_EQ(std::memcmp(&a.path_length_m, &b.path_length_m,
+                          sizeof(double)),
+              0)
+        << label << " entry " << k;
+    EXPECT_EQ(std::memcmp(&a.coupling, &b.coupling, sizeof(double)), 0)
+        << label << " entry " << k;
+    EXPECT_EQ(a.cell, b.cell) << label << " entry " << k;
+    EXPECT_EQ(a.external_id, b.external_id) << label << " entry " << k;
+  }
+  EXPECT_EQ(got.spec.pruned_count, want.spec.pruned_count) << label;
+  EXPECT_EQ(got.serving_distance_m, want.serving_distance_m) << label;
+  const double ref = want.spec.pruned_coupling_over_length;
+  EXPECT_GE(got.spec.pruned_coupling_over_length, ref * (1.0 - 1e-12))
+      << label;
+  EXPECT_LE(got.spec.pruned_coupling_over_length, 1.5 * ref) << label;
+}
+
 TEST(SpatialSurfaceIndex, RejectsDegenerateInputs) {
   EXPECT_THROW(SpatialSurfaceIndex({}, 10.0), std::invalid_argument);
   const std::vector<Point2> one{{1.0, 2.0}};
   EXPECT_THROW(SpatialSurfaceIndex(one, 0.0), std::invalid_argument);
   EXPECT_THROW(SpatialSurfaceIndex(one, -3.0), std::invalid_argument);
+}
+
+TEST(SpatialSurfaceIndex, RejectsNonFiniteCellSize) {
+  const std::vector<Point2> one{{1.0, 2.0}};
+  EXPECT_THROW(
+      SpatialSurfaceIndex(one, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
+  EXPECT_THROW(
+      SpatialSurfaceIndex(one, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+}
+
+TEST(SpatialSurfaceIndex, RejectsNonFiniteAndOutOfRangePositions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point2 bad : {Point2{nan, 0.0}, Point2{0.0, nan},
+                           Point2{inf, 0.0}, Point2{0.0, -inf},
+                           Point2{1e300, 0.0}}) {
+    const std::vector<Point2> positions{{0.0, 0.0}, bad, {5.0, 5.0}};
+    EXPECT_THROW(SpatialSurfaceIndex(positions, 10.0), std::invalid_argument)
+        << bad.x_m << "," << bad.y_m;
+  }
+}
+
+TEST(SpatialSurfaceIndex, NearestRejectsNonFiniteQueries) {
+  const SpatialSurfaceIndex index{{{0.0, 0.0}, {30.0, 0.0}}, 10.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)index.nearest(Point2{nan, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)index.nearest(Point2{0.0, -inf}), std::invalid_argument);
+  // Finite queries however far away still resolve (clamped ring start).
+  EXPECT_EQ(index.nearest(Point2{1e9, 0.0}), 1u);
+  EXPECT_EQ(index.nearest(Point2{-1e9, -1e9}), 0u);
 }
 
 TEST(SpatialSurfaceIndex, CellsPartitionTheSurfaceIds) {
@@ -145,6 +255,91 @@ TEST(BuildCitySceneSpec, AccountsForEverySurfaceOnce) {
       ++j;
     ASSERT_LT(j, more.spec.placed.size())
         << "kept path lost when deepening the cutoff";
+  }
+}
+
+TEST(BuildCitySceneSpec, DescentMatchesPerSurfaceReferenceOnRandomLayouts) {
+  common::Rng rng{0xDE5C};
+  for (const std::size_t m : {1u, 2u, 7u, 64u, 300u, 1500u}) {
+    for (int trial = 0; trial < 24; ++trial) {
+      SurfaceLayout layout;
+      const double extent = 30.0 * std::sqrt(static_cast<double>(m));
+      layout.positions = random_positions(rng, m, extent);
+      layout.coupling0 = rng.uniform(0.05, 0.3);
+      layout.sidelobe_ref_m = rng.uniform(5.0, 15.0);
+      layout.sidelobe_exponent = rng.uniform(1.0, 2.5);
+      layout.prune.cutoff_db = rng.uniform(-60.0, -25.0);
+      layout.prune.cell_size_m = rng.uniform(5.0, 40.0);
+      // Devices mostly inside the deployment, some well outside it.
+      const Point2 device{rng.uniform(-0.2 * extent, 1.2 * extent),
+                          rng.uniform(-0.2 * extent, 1.2 * extent)};
+      expect_descent_matches_reference(
+          layout, device,
+          "m=" + std::to_string(m) + " trial=" + std::to_string(trial));
+    }
+  }
+}
+
+TEST(BuildCitySceneSpec, DescentMatchesReferenceOnAdversarialLayouts) {
+  SurfaceLayout grid;  // mounts exactly on cell corners and edges
+  for (int i = 0; i < 20; ++i)
+    for (int j = 0; j < 20; ++j)
+      grid.positions.push_back(Point2{12.0 * i, 12.0 * j});
+  grid.prune.cell_size_m = 24.0;
+  grid.prune.cutoff_db = -45.0;
+  expect_descent_matches_reference(grid, Point2{120.0, 120.0}, "on-corner");
+  expect_descent_matches_reference(grid, Point2{24.0, 36.0},
+                                   "device on its serving mount");
+  expect_descent_matches_reference(grid, Point2{-2e4, 5e4},
+                                   "device far outside the grid");
+
+  SurfaceLayout dup = grid;  // duplicates, including of the serving mount
+  for (int k = 0; k < 40; ++k)
+    dup.positions.push_back(dup.positions[static_cast<std::size_t>(k * 9)]);
+  expect_descent_matches_reference(dup, Point2{0.0, 0.0}, "duplicates");
+  expect_descent_matches_reference(dup, Point2{108.0, 0.0},
+                                   "duplicated serving mount");
+
+  SurfaceLayout flung;  // mounts ~2^30 cells apart: a 32-level pyramid
+  flung.positions = {Point2{-2e10, -2e10}, Point2{2e10, 2e10},
+                     Point2{0.0, 0.0},     Point2{30.0, 0.0},
+                     Point2{-2e10, 2e10},  Point2{31.0, 1.0}};
+  flung.prune.cutoff_db = -30.0;
+  expect_descent_matches_reference(flung, Point2{10.0, 0.0}, "far-flung");
+  expect_descent_matches_reference(flung, Point2{2e10, 2e10},
+                                   "far-flung, at a remote mount");
+
+  SurfaceLayout stacked;  // every mount at one point
+  stacked.positions.assign(16, Point2{3.0, 4.0});
+  expect_descent_matches_reference(stacked, Point2{50.0, 4.0}, "stacked");
+
+  SurfaceLayout single;
+  single.positions = {Point2{7.0, -3.0}};
+  const SpatialSurfaceIndex index{single.positions, 24.0};
+  const CitySceneBuild one =
+      build_city_scene_spec(index, single, 0, Point2{9.0, 1.0}, 0.5);
+  EXPECT_TRUE(one.spec.placed.empty());
+  EXPECT_EQ(one.spec.pruned_count, 0u);
+  EXPECT_EQ(one.spec.pruned_coupling_over_length, 0.0);
+}
+
+TEST(BuildCitySceneSpec, InfiniteCutoffKeepsEverySurfaceWithZeroMass) {
+  common::Rng rng{0x1F1F};
+  for (const std::size_t m : {2u, 50u, 800u}) {
+    SurfaceLayout layout;
+    layout.positions = random_positions(rng, m, 400.0);
+    layout.prune.cutoff_db = -std::numeric_limits<double>::infinity();
+    const SpatialSurfaceIndex index{layout.positions,
+                                    layout.prune.cell_size_m};
+    for (int q = 0; q < 8; ++q) {
+      const Point2 device{rng.uniform(-100.0, 500.0),
+                          rng.uniform(-100.0, 500.0)};
+      const CitySceneBuild build = build_city_scene_spec(
+          index, layout, index.nearest(device), device, 0.5);
+      EXPECT_EQ(build.spec.placed.size(), m - 1);
+      EXPECT_EQ(build.spec.pruned_count, 0u);
+      EXPECT_EQ(build.spec.pruned_coupling_over_length, 0.0);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -65,6 +66,78 @@ TEST(CityFleetEngine, ValidatesConfigAndRoster) {
   EXPECT_THROW(engine.refreeze_device(0, frozen, retuned, short_biases),
                std::invalid_argument);
   EXPECT_THROW(core::city_scale_scenario(0, 1), std::invalid_argument);
+}
+
+// Leakage-model validation: each of these layouts used to construct
+// silently and then prune every path (NaN cutoff), grow coupling with
+// distance (negative exponent) or compute nonsense bounds.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+DeploymentConfig city_config() {
+  return core::city_scale_scenario(8, 4).config;
+}
+
+TEST(CityFleetValidation, RejectsNanCutoffButKeepsInfiniteCutoffs) {
+  DeploymentConfig cfg = city_config();
+  cfg.layout.prune.cutoff_db = kNaN;
+  EXPECT_THROW((CityFleetEngine{cfg}), std::invalid_argument);
+  for (const double inf : {-kInf, kInf}) {
+    cfg.layout.prune.cutoff_db = inf;
+    EXPECT_NO_THROW((CityFleetEngine{cfg})) << inf;
+  }
+}
+
+TEST(CityFleetValidation, RejectsNonFiniteOrNegativeCoupling0) {
+  for (const double bad : {kNaN, kInf, -0.01}) {
+    DeploymentConfig cfg = city_config();
+    cfg.layout.coupling0 = bad;
+    EXPECT_THROW((CityFleetEngine{cfg}), std::invalid_argument) << bad;
+  }
+  DeploymentConfig cfg = city_config();
+  cfg.layout.coupling0 = 0.0;  // a perfectly shielded layout is legal
+  EXPECT_NO_THROW((CityFleetEngine{cfg}));
+}
+
+TEST(CityFleetValidation, RejectsNonFiniteOrNonPositiveSidelobeRef) {
+  for (const double bad : {kNaN, kInf, 0.0, -5.0}) {
+    DeploymentConfig cfg = city_config();
+    cfg.layout.sidelobe_ref_m = bad;
+    EXPECT_THROW((CityFleetEngine{cfg}), std::invalid_argument) << bad;
+  }
+}
+
+TEST(CityFleetValidation, RejectsNonFiniteOrNegativeSidelobeExponent) {
+  for (const double bad : {kNaN, kInf, -1.0}) {
+    DeploymentConfig cfg = city_config();
+    cfg.layout.sidelobe_exponent = bad;
+    EXPECT_THROW((CityFleetEngine{cfg}), std::invalid_argument) << bad;
+  }
+  DeploymentConfig cfg = city_config();
+  cfg.layout.sidelobe_exponent = 0.0;  // flat coupling is still monotone
+  EXPECT_NO_THROW((CityFleetEngine{cfg}));
+}
+
+TEST(CityFleetValidation, RejectsNonFiniteMountPositions) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    DeploymentConfig cfg = city_config();
+    cfg.layout.positions[3].y_m = bad;
+    EXPECT_THROW((CityFleetEngine{cfg}), std::invalid_argument) << bad;
+  }
+}
+
+TEST(CityFleetValidation, AssignRejectsNonFiniteDevicePositions) {
+  const core::CityScaleScenario scenario = core::city_scale_scenario(8, 4);
+  CityFleetEngine engine{scenario.config};
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    for (const int surface : {-1, 2}) {  // nearest and explicit serving
+      auto devices = scenario.devices;
+      devices[1].position->x_m = bad;
+      devices[1].surface = surface;
+      EXPECT_THROW(engine.assign(devices), std::invalid_argument)
+          << bad << " surface " << surface;
+    }
+  }
 }
 
 TEST(CityFleetEngine, ExplicitSurfaceOverridesNearest) {

@@ -199,25 +199,21 @@ SpatialSurfaceIndex::SpatialSurfaceIndex(const std::vector<Point2>& positions,
                              [](std::int32_t c) { return c < 0; }),
                 "every surface lands in exactly one occupied cell");
 
-  gx0_ = gx1_ = cells_.front().cx;
-  gy0_ = cells_.front().cy;
-  gy1_ = cells_.back().cy;
-  for (const Cell& c : cells_) {
-    gx0_ = std::min(gx0_, c.cx);
-    gx1_ = std::max(gx1_, c.cx);
-  }
   build_pyramid(positions);
 }
 
 void SpatialSurfaceIndex::build_pyramid(const std::vector<Point2>& positions) {
   // Leaves: one block per occupied cell, in Morton order of the cell's
-  // offset from the bounding box corner.
+  // offset from the occupied grid's lower-left corner.
+  const std::int64_t gy0 = cells_.front().cy;  // rows ascend
+  std::int64_t gx0 = cells_.front().cx;
+  for (const Cell& c : cells_) gx0 = std::min(gx0, c.cx);
   std::vector<std::pair<std::uint64_t, std::size_t>> order;
   order.reserve(cells_.size());
   for (std::size_t c = 0; c < cells_.size(); ++c)
     order.emplace_back(
-        morton(static_cast<std::uint64_t>(cells_[c].cx - gx0_),
-               static_cast<std::uint64_t>(cells_[c].cy - gy0_)),
+        morton(static_cast<std::uint64_t>(cells_[c].cx - gx0),
+               static_cast<std::uint64_t>(cells_[c].cy - gy0)),
         c);
   std::sort(order.begin(), order.end());
 
@@ -225,7 +221,6 @@ void SpatialSurfaceIndex::build_pyramid(const std::vector<Point2>& positions) {
   keys.reserve(order.size());
   blocks_.reserve(2 * cells_.size());
   leaf_entries_.reserve(positions.size());
-  cell_leaf_.assign(cells_.size(), 0);
   for (const auto& [key, c] : order) {
     const std::vector<std::size_t>& surfaces = cells_[c].surfaces;
     Block b;
@@ -242,7 +237,6 @@ void SpatialSurfaceIndex::build_pyramid(const std::vector<Point2>& positions) {
     }
     b.last = static_cast<std::uint32_t>(leaf_entries_.size());
     b.count = b.last - b.first;
-    cell_leaf_[c] = static_cast<std::uint32_t>(blocks_.size());
     blocks_.push_back(b);
     keys.push_back(key);
   }
@@ -287,17 +281,6 @@ double SpatialSurfaceIndex::grid_coord(double v_m) const {
   return std::floor(v_m / cell_size_m_);
 }
 
-std::int32_t SpatialSurfaceIndex::find_cell(std::int64_t cx,
-                                            std::int64_t cy) const {
-  const auto it = std::lower_bound(
-      cells_.begin(), cells_.end(), std::pair{cy, cx},
-      [](const Cell& c, const std::pair<std::int64_t, std::int64_t>& key) {
-        return std::pair{c.cy, c.cx} < key;
-      });
-  if (it == cells_.end() || it->cy != cy || it->cx != cx) return -1;
-  return static_cast<std::int32_t>(it - cells_.begin());
-}
-
 std::int32_t SpatialSurfaceIndex::cell_of(std::size_t surface) const {
   if (surface >= cell_of_.size())
     throw std::out_of_range{"SpatialSurfaceIndex: surface id out of range"};
@@ -315,55 +298,41 @@ std::size_t SpatialSurfaceIndex::nearest(const Point2& p) const {
   if (!std::isfinite(p.x_m) || !std::isfinite(p.y_m))
     throw std::invalid_argument{
         "SpatialSurfaceIndex: query position is not finite"};
-  // Start from p's cell clamped into the occupied bounding box. Clamping
-  // projects p onto a convex set that holds every mount, so no mount is
-  // nearer to p than to the clamped point, and the ring floor below holds.
-  const auto px = static_cast<std::int64_t>(
-      std::clamp(grid_coord(p.x_m), static_cast<double>(gx0_),
-                 static_cast<double>(gx1_)));
-  const auto py = static_cast<std::int64_t>(
-      std::clamp(grid_coord(p.y_m), static_cast<double>(gy0_),
-                 static_cast<double>(gy1_)));
-  const std::int64_t max_ring =
-      std::max({px - gx0_, gx1_ - px, py - gy0_, gy1_ - py});
-
+  // Branch and bound down the pyramid, nearer children first. No mount is
+  // nearer than its block's box, so a block whose box lies beyond the best
+  // distance so far (with a rounding margin, so an equally near mount is
+  // still scanned and ties resolve to the lowest id) cannot hold the answer.
   double best_d = std::numeric_limits<double>::infinity();
   std::size_t best = 0;
-  const auto scan = [&](std::int64_t cx, std::int64_t cy) {
-    const std::int32_t cell = find_cell(cx, cy);
-    if (cell < 0) return;
-    const Block& leaf = blocks_[cell_leaf_[static_cast<std::size_t>(cell)]];
-    for (std::uint32_t k = leaf.first; k < leaf.last; ++k) {
-      const std::size_t s = leaf_entries_[k].id;
-      const double d = distance_m(p, leaf_entries_[k].p);
-      // Strict < plus ascending per-cell ids: ties resolve to the lowest
-      // surface id, deterministically.
-      if (d < best_d || (d == best_d && s < best)) {
-        best_d = d;
-        best = s;
+  std::array<std::uint32_t, 128> stack;
+  std::size_t depth = 0;
+  stack[depth++] = static_cast<std::uint32_t>(blocks_.size() - 1);
+  while (depth > 0) {
+    const std::uint32_t id = stack[--depth];
+    const Block& b = blocks_[id];
+    if (box_distance2(p, b) > best_d * best_d * (1.0 + 0x1p-40)) continue;
+    if (id < leaf_blocks_) {
+      for (std::uint32_t k = b.first; k < b.last; ++k) {
+        const std::size_t s = leaf_entries_[k].id;
+        const double d = distance_m(p, leaf_entries_[k].p);
+        if (d < best_d || (d == best_d && s < best)) {
+          best_d = d;
+          best = s;
+        }
       }
-    }
-  };
-  for (std::int64_t ring = 0; ring <= max_ring; ++ring) {
-    // Any cell at Chebyshev ring r is at least (r - 1) * cell_size away
-    // from p, so once a candidate beats that floor the search is complete.
-    if (best_d < static_cast<double>(ring - 1) * cell_size_m_) break;
-    if (ring == 0) {
-      scan(px, py);
       continue;
     }
-    // Only the part of the ring inside the bounding box can hold mounts.
-    const std::int64_t x_lo = std::max(px - ring, gx0_);
-    const std::int64_t x_hi = std::min(px + ring, gx1_);
-    const std::int64_t y_lo = std::max(py - ring + 1, gy0_);
-    const std::int64_t y_hi = std::min(py + ring - 1, gy1_);
-    for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
-      if (py - ring >= gy0_) scan(cx, py - ring);
-      if (py + ring <= gy1_) scan(cx, py + ring);
-    }
-    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
-      if (px - ring >= gx0_) scan(px - ring, cy);
-      if (px + ring <= gx1_) scan(px + ring, cy);
+    // Push the children farthest first (an insertion sort of at most 4),
+    // so the nearest is opened first.
+    LLAMA_INVARIANT(b.last - b.first <= 4 && depth + 4 <= stack.size(),
+                    "a block has at most 4 children; the stack fits them");
+    const std::size_t base = depth;
+    for (std::uint32_t c = b.first; c < b.last; ++c) {
+      const double d2 = box_distance2(p, blocks_[c]);
+      std::size_t k = depth++;
+      for (; k > base && box_distance2(p, blocks_[stack[k - 1]]) < d2; --k)
+        stack[k] = stack[k - 1];
+      stack[k] = c;
     }
   }
   LLAMA_ENSURES(best_d < std::numeric_limits<double>::infinity(),

@@ -153,11 +153,11 @@ class SpatialSurfaceIndex {
   [[nodiscard]] const std::vector<std::size_t>& surfaces_in_cell(
       std::int32_t cell) const;
 
-  /// Nearest surface to `p` (ties broken toward the lowest id). Searches
-  /// outward ring by ring from p's cell (clamped into the occupied grid's
-  /// bounding box) and scans only the cells inside that box, so cost is
-  /// O(local density), not O(M). Throws std::invalid_argument for a
-  /// non-finite `p`.
+  /// Nearest surface to `p` (ties broken toward the lowest id). A branch
+  /// and bound search of the block pyramid, nearer blocks first, so it
+  /// scans only the cells around the answer: O(local density + log M), not
+  /// O(M), for queries inside or far outside the deployment. Throws
+  /// std::invalid_argument for a non-finite `p`.
   [[nodiscard]] std::size_t nearest(const Point2& p) const;
 
  private:
@@ -189,8 +189,6 @@ class SpatialSurfaceIndex {
 
   /// Grid coordinate of a position component, floor(v / cell_size).
   [[nodiscard]] double grid_coord(double v_m) const;
-  /// Ordinal of grid cell (cx, cy); -1 when empty.
-  [[nodiscard]] std::int32_t find_cell(std::int64_t cx, std::int64_t cy) const;
   void build_pyramid(const std::vector<Point2>& positions);
 
   /// One mount under a leaf block.
@@ -202,11 +200,6 @@ class SpatialSurfaceIndex {
   double cell_size_m_ = 0.0;
   std::vector<Cell> cells_;           ///< sorted by (cy, cx)
   std::vector<std::int32_t> cell_of_; ///< per surface
-  /// Occupied grid bounding box (inclusive cell coordinates).
-  std::int64_t gx0_ = 0;
-  std::int64_t gx1_ = 0;
-  std::int64_t gy0_ = 0;
-  std::int64_t gy1_ = 0;
   /// Pyramid levels, leaves (one per occupied cell, Morton order) first and
   /// the root last; each level's blocks are in Morton order, so a parent's
   /// children are contiguous.
@@ -215,7 +208,6 @@ class SpatialSurfaceIndex {
   /// Mounts per leaf block, ascending by id within each cell: the cells'
   /// positions stored contiguously, for the descent and nearest().
   std::vector<LeafEntry> leaf_entries_;
-  std::vector<std::uint32_t> cell_leaf_; ///< leaf block per cell ordinal
 };
 
 /// Result of building one device's pruned scene description.

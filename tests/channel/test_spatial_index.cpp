@@ -205,6 +205,37 @@ TEST(SpatialSurfaceIndex, NearestMatchesBruteForceIncludingFarQueries) {
   }
 }
 
+TEST(SpatialSurfaceIndex, NearestBreaksTiesTowardTheLowestId) {
+  std::vector<Point2> positions;  // a lattice, then duplicates of it
+  for (int i = 0; i < 12; ++i)
+    for (int j = 0; j < 12; ++j)
+      positions.push_back(Point2{12.0 * i, 12.0 * j});
+  for (std::size_t k = 0; k < 40; ++k) positions.push_back(positions[k * 3]);
+  for (const double cell : {24.0, 7.0}) {
+    const SpatialSurfaceIndex index{positions, cell};
+    for (int i = -1; i < 13; ++i) {
+      for (int j = -1; j < 13; ++j) {
+        // Lattice points, edge midpoints and cell centres: exact ties.
+        for (const Point2 q : {Point2{12.0 * i, 12.0 * j},
+                               Point2{12.0 * i + 6.0, 12.0 * j},
+                               Point2{12.0 * i + 6.0, 12.0 * j + 6.0}}) {
+          std::size_t best = 0;
+          double best_d = std::numeric_limits<double>::infinity();
+          for (std::size_t s = 0; s < positions.size(); ++s) {
+            const double d = distance_m(q, positions[s]);
+            if (d < best_d) {
+              best_d = d;
+              best = s;
+            }
+          }
+          EXPECT_EQ(index.nearest(q), best)
+              << "cell " << cell << " query " << q.x_m << "," << q.y_m;
+        }
+      }
+    }
+  }
+}
+
 TEST(SpatialSurfaceIndex, PureFunctionOfPositions) {
   common::Rng rng{0xDE7E};
   const std::vector<Point2> positions = random_positions(rng, 48, 120.0);
